@@ -36,7 +36,6 @@ from .symbolic import (
     table_to_csv,
     table_to_json,
     table_to_markdown,
-    word_to_index,
 )
 from .verify import (
     AxiomReport,
@@ -102,5 +101,4 @@ __all__ = [
     "table_to_csv",
     "table_to_json",
     "table_to_markdown",
-    "word_to_index",
 ]

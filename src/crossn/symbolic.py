@@ -21,6 +21,12 @@ The normalizer computes signs *only* from these rules.  The fact that the
 result index is always the XOR of the operand indices is a consequence that
 callers may verify, never an input.
 
+A level-k table is stored as sign rows: row i holds s(i, j) in {-1, 0, 1}
+for e_i x e_j = s(i, j) e_(i ^ j), and the index is implied, never stored.
+``build_table`` fills the rows one level at a time, applying the same rules
+once per cell and reading the recursive sub-sign from the rows of the level
+below; ``SignedBasis`` cells exist only on demand (``entry``, ``cells``).
+
 ``normalize_product_traced`` additionally records every rewrite step so the
 whole reduction chain, e.g.
 
@@ -32,9 +38,11 @@ can be replayed and checked against an independent evaluation.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from operator import neg
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .vecalg import Vector
 
@@ -103,10 +111,6 @@ class BasisWord:
 
     def __str__(self) -> str:
         return tree_str(self.tree())
-
-
-def word_to_index(w: BasisWord) -> int:
-    return w.index
 
 
 def build_basis(k: int) -> List[BasisWord]:
@@ -427,94 +431,148 @@ def normalize_product_traced(i: int, j: int, k: int) -> Tuple[SignedBasis, Rewri
 
 @dataclass(frozen=True)
 class MulTable:
-    """The n x n table of signed basis cells defining a bilinear product."""
+    """The n x n table of signed basis cells defining a bilinear product.
+
+    ``signs[i][j]`` is the sign s in {-1, 0, 1} of e_i x e_j = s e_(i ^ j)
+    for 1 <= i, j <= n.  Row 0 and column 0 name no basis element and stay
+    zero, so that rows and columns are indexed by i and j themselves.
+    """
 
     k: int
     n: int
-    cells: Tuple[Tuple[SignedBasis, ...], ...]
+    signs: Tuple[array, ...]
 
     def entry(self, i: int, j: int) -> SignedBasis:
         """Cell for e_i x e_j (1-indexed)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"cell ({i},{j}) out of range 1..{self.n}")
-        return self.cells[i - 1][j - 1]
+        s = self.signs[i][j]
+        return SignedBasis(s, i ^ j) if s else SignedBasis.zero()
+
+    def values(self, i: int) -> List[int]:
+        """Row i as the lossless integers sign * index, for columns 1..n."""
+        row = self.signs[i]
+        return [row[j] * (i ^ j) for j in range(1, self.n + 1)]
+
+    @property
+    def cells(self) -> Iterator[Tuple[SignedBasis, ...]]:
+        """The rows of ``SignedBasis`` cells, each row built when reached."""
+        n = self.n
+        return (tuple(self.entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation.
 
-        Zero diagonal, antisymmetry of cells, and the XOR index law for
-        off-diagonal cells.  The law is a consequence of the rewrite rules,
-        checked here as a cross-verification, never assumed during
-        construction.
+        Zero diagonal, a unit sign in every off-diagonal cell, and
+        antisymmetry of cells.  Cell indices are i ^ j by representation;
+        the tests check that law against ``normalize_product``, which derives
+        every index from the rewrite rules.
         """
-        if self.n != _index_bound(self.k):
-            raise ValueError(f"n={self.n} does not match level k={self.k}")
-        if len(self.cells) != self.n or any(len(r) != self.n for r in self.cells):
-            raise ValueError("cells must form an n x n grid")
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                cell = self.cells[i - 1][j - 1]
-                if i == j:
-                    if not cell.is_zero:
-                        raise ValueError(f"diagonal cell ({i},{i}) must be zero")
-                    continue
-                if cell.is_zero:
+        n = self.n
+        if n != _index_bound(self.k):
+            raise ValueError(f"n={n} does not match level k={self.k}")
+        rows = self.signs
+        if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
+            raise ValueError(f"sign rows must form an {n + 1} x {n + 1} grid")
+        if any(rows[0]) or any(row[0] for row in rows):
+            raise ValueError("row 0 and column 0 name no basis element and must be zero")
+        for i, (row, column) in enumerate(zip(rows, zip(*rows))):
+            if i == 0:
+                continue
+            if row[i]:
+                raise ValueError(f"diagonal cell ({i},{i}) must be zero")
+            if row.count(1) + row.count(-1) != n - 1:
+                j = next(j for j, s in enumerate(row) if j not in (0, i) and s not in (1, -1))
+                if row[j] == 0:
                     raise ValueError(f"off-diagonal cell ({i},{j}) must be nonzero")
-                if cell.index != i ^ j:
-                    raise ValueError(
-                        f"cell ({i},{j}) has index {cell.index}, expected {i ^ j}"
-                    )
-                if self.cells[j - 1][i - 1] != cell.negated():
-                    raise ValueError(f"cells ({i},{j}) and ({j},{i}) are not opposite")
+                raise ValueError(f"cell ({i},{j}) has sign {row[j]}, expected -1 or 1")
+            if column != tuple(map(neg, row)):
+                j = next(j for j, s in enumerate(row) if column[j] != -s)
+                raise ValueError(f"cells ({i},{j}) and ({j},{i}) are not opposite")
+
+
+def _double(rows: List[array]) -> List[array]:
+    """The sign rows of level t from those of level t - 1.
+
+    ``rows`` covers the indices 0 .. m-1 (m = 2**t); the result covers
+    0 .. 2m-1, where index m | a is the word a x u_t (u_t itself for a == 0).
+    Every cell takes its case of ``_norm_indices`` for top generator t and
+    reads any recursive sub-sign from ``rows``.
+    """
+    m = len(rows)
+    columns = [array("b", c) for c in zip(*rows)]  # columns[a][j] = s(j, a)
+    out = [array("b", bytes(2 * m))]
+    for i in range(1, m):
+        # e_i x e_j with j < m is the cell one level down.  e_i x (b x u_t):
+        # shift gives -s(i, b), except that i x u_t is already a word and
+        # i x (i x u_t) cancels to -u_t.
+        right = array("b", [-s for s in rows[i]])
+        right[0], right[i] = 1, -1
+        out.append(rows[i] + right)
+    # u_t x y = -(y x u_t) by antisymmetry; u_t x (y x u_t) = y.
+    out.append(array("b", [0] + [-1] * (m - 1) + [0] + [1] * (m - 1)))
+    for a in range(1, m):
+        # (a x u_t) x e_j with j < m: orient, then shift, giving s(j, a),
+        # except that (a x u_t) x a cancels to u_t.  (a x u_t) x (b x u_t):
+        # pair-collapse gives -s(a, b), except that (a x u_t) x u_t = -a.
+        left = columns[a]
+        left[a] = 1
+        right = array("b", [-s for s in rows[a]])
+        right[0] = -1
+        out.append(left + right)
+    return out
 
 
 def build_table(k: int) -> MulTable:
     """Multiplication table for the level-k basis (n = 2**(k+1) - 1)."""
     if not 1 <= k <= MAX_LEVEL:
         raise ValueError(f"level must be in 1..{MAX_LEVEL}, got {k}")
-    n = _index_bound(k)
-    cells = tuple(
-        tuple(normalize_product(i, j, k) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    table = MulTable(k, n, cells)
+    rows = [array("b", [0])]  # below level 0 there is only index 0
+    for _ in range(k + 1):
+        rows = _double(rows)
+    table = MulTable(k, _index_bound(k), tuple(rows))
     table.validate()
     return table
 
 
 def table_to_markdown(table: MulTable) -> str:
     """Markdown rendering with rows and columns labelled e1..en."""
-    header = "| × | " + " | ".join(f"e{j}" for j in range(1, table.n + 1)) + " |"
-    rule = "| " + " | ".join("---" for _ in range(table.n + 1)) + " |"
+    n = table.n
+    text = {0: "0"}
+    for m in range(1, n + 1):
+        text[m], text[-m] = f"e{m}", f"−e{m}"
+    header = "| × | " + " | ".join(text[j] for j in range(1, n + 1)) + " |"
+    rule = "| " + " | ".join("---" for _ in range(n + 1)) + " |"
     lines = [header, rule]
-    for i in range(1, table.n + 1):
-        cells = " | ".join(str(table.entry(i, j)) for j in range(1, table.n + 1))
+    for i in range(1, n + 1):
+        cells = " | ".join(map(text.__getitem__, table.values(i)))
         lines.append(f"| e{i} | {cells} |")
     return "\n".join(lines)
 
 
 def table_to_csv(table: MulTable) -> str:
     """Plain n x n grid of signed integers (sign * index, 0 for zero)."""
-    return "\n".join(
-        ",".join(str(table.entry(i, j).value) for j in range(1, table.n + 1))
-        for i in range(1, table.n + 1)
-    )
+    n = table.n
+    text = {v: str(v) for v in range(-n, n + 1)}  # n**2 cells, 2n + 1 values
+    return "\n".join(",".join(map(text.__getitem__, table.values(i))) for i in range(1, n + 1))
 
 
 def table_to_json(table: MulTable) -> str:
-    doc = {
-        "k": table.k,
-        "n": table.n,
-        "cells": [
-            [table.entry(i, j).value for j in range(1, table.n + 1)]
-            for i in range(1, table.n + 1)
-        ],
-    }
-    return json.dumps(doc)
+    """``{"k": .., "n": .., "cells": [[..], ..]}``, as ``json.dumps`` writes it.
+
+    Written one row at a time, so the n**2 integers never exist at once.
+    """
+    cells = ", ".join(json.dumps(table.values(i)) for i in range(1, table.n + 1))
+    return f'{{"k": {table.k}, "n": {table.n}, "cells": [{cells}]}}'
 
 
 def table_from_json(text: str) -> MulTable:
-    """Inverse of ``table_to_json``; checks shape and value ranges only."""
+    """Inverse of ``table_to_json``; rejects any document that is not a table.
+
+    The level must be in 1..MAX_LEVEL with n = 2**(k+1) - 1, every cell an
+    integer (not a bool), cell (i, j) must be 0 on the diagonal and +-(i ^ j)
+    off it, and the result must pass ``validate``.
+    """
     doc = json.loads(text)
     try:
         k = doc["k"]
@@ -522,19 +580,29 @@ def table_from_json(text: str) -> MulTable:
         raw = doc["cells"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"table document must carry k, n and cells: {exc}") from exc
-    if not isinstance(k, int) or not isinstance(n, int):
+    if type(k) is not int or type(n) is not int:
         raise ValueError("k and n must be integers")
-    if len(raw) != n or any(len(row) != n for row in raw):
+    if not 1 <= k <= MAX_LEVEL:
+        raise ValueError(f"level must be in 1..{MAX_LEVEL}, got {k}")
+    if n != _index_bound(k):
+        raise ValueError(f"n={n} does not match level k={k}")
+    if not isinstance(raw, list) or len(raw) != n or any(
+        not isinstance(row, list) or len(row) != n for row in raw
+    ):
         raise ValueError(f"cells must form an {n} x {n} grid")
-    cells = []
-    for row in raw:
-        out_row = []
-        for value in row:
-            if not isinstance(value, int) or abs(value) > n:
-                raise ValueError(f"cell value {value!r} out of range for n={n}")
-            out_row.append(SignedBasis.from_value(value))
-        cells.append(tuple(out_row))
-    return MulTable(k, n, tuple(cells))
+    rows = [array("b", bytes(n + 1))]
+    for i, row in enumerate(raw, start=1):
+        # Type first: json reads true as a bool, which compares equal to 1.
+        if set(map(type, row)) != {int} or list(map(abs, row)) != [i ^ j for j in range(1, n + 1)]:
+            j, value = next(
+                (j, v) for j, v in enumerate(row, start=1) if type(v) is not int or abs(v) != i ^ j
+            )
+            expected = "0" if i == j else f"±{i ^ j}"
+            raise ValueError(f"cell ({i},{j}) holds {value!r}, expected {expected}")
+        rows.append(array("b", [0] + [(v > 0) - (v < 0) for v in row]))
+    table = MulTable(k, n, tuple(rows))
+    table.validate()
+    return table
 
 
 # --- the dimension >= 15 counterexample ------------------------------------

@@ -15,6 +15,7 @@ table.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -61,7 +62,12 @@ def _coerce_double(value) -> float:
             raise ValueError(
                 f"double mode expects a decimal literal, got {value!r}"
             )
-        return float(token)
+        # Literals come from outside; nan and inf are not coordinates.  A
+        # computed float may still overflow to inf, as IEEE arithmetic does.
+        number = float(token)
+        if not math.isfinite(number):
+            raise ValueError(f"double mode expects a finite literal, got {value!r}")
+        return number
     raise ValueError(f"cannot use {value!r} as a double coordinate")
 
 
@@ -322,25 +328,25 @@ def det_product(rows: Sequence[Vector]) -> Vector:
 def table_product(table, u: Vector, v: Vector) -> Vector:
     """Bilinear extension of a basis multiplication table to all of R^n.
 
-    ``table`` is any object exposing ``n`` and 1-indexed ``entry(i, j)``
-    returning a signed basis cell (``sign``/``index``/``is_zero``).  Zero
-    coordinates are skipped, so products of sparse vectors cost only the
-    nonzero support.
+    ``table`` is any object exposing ``n`` and sign rows ``signs``, where
+    ``signs[i][j]`` in {-1, 0, 1} is the sign of e_i x e_j = s e_(i ^ j) for
+    1-indexed i and j.  Terms are added in i-then-j order.  Zero coordinates
+    are skipped, so products of sparse vectors cost only the nonzero support.
     """
     _check_pair(u, v, "table_product")
     if u.dim != table.n:
         raise ValueError(
             f"table for dim {table.n} cannot multiply dim-{u.dim} vectors"
         )
+    signs = table.signs
+    right = [(j, b) for j, b in enumerate(v.coords, start=1) if b]
     acc = [zero_scalar(u.mode)] * table.n
     for i, a in enumerate(u.coords, start=1):
         if not a:
             continue
-        for j, b in enumerate(v.coords, start=1):
-            if not b:
-                continue
-            cell = table.entry(i, j)
-            if cell.is_zero:
-                continue
-            acc[cell.index - 1] += cell.sign * a * b
+        row = signs[i]
+        for j, b in right:
+            s = row[j]
+            if s:
+                acc[(i ^ j) - 1] += s * a * b
     return Vector(acc, u.mode)

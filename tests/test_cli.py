@@ -130,6 +130,17 @@ class TestCrossCommand:
         assert status == 0
         assert [float(t) for t in out.strip().split(",")] == [0.0, 0.0, 1.0]
 
+    def test_float_mode_rejects_non_finite_input(self, capsys):
+        assert (
+            run_usage_error(
+                capsys,
+                "--float",
+                "cross", "--n", "3", "--product", "cross3",
+                "--u", "nan,1,2", "--v", "1,inf,0",
+            )
+            == 2
+        )
+
     def test_dimension_mismatch(self, capsys):
         assert (
             run_usage_error(

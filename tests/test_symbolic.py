@@ -9,13 +9,19 @@ Core claims:
       every trace replays against an independent evaluation
     - the XOR index law and cell antisymmetry hold exhaustively (checked,
       never assumed)
+    - every sign row cell equals normalize_product (all cells up to k = 5,
+      samples at k = 6..10), and table_product on the rows equals a per-cell
+      sum through normalize_product, bit for bit in double mode
     - lower-level tables sit exactly in the top-left block of higher ones
     - markdown/CSV/JSON serializations match the goldens and round-trip
     - the level >= 3 witness pair is e3 + e10 and e6 - e15, zero-padded
 """
 
 import json
+import random
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -39,9 +45,8 @@ from crossn.symbolic import (
     table_to_csv,
     table_to_json,
     table_to_markdown,
-    word_to_index,
 )
-from crossn.vecalg import Vector, dot, table_product
+from crossn.vecalg import DOUBLE, EXACT, Vector, dot, table_product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,10 +75,6 @@ class TestBasisWord:
         assert BasisWord(frozenset({0, 1})).index == 3
         assert BasisWord(frozenset({0, 1, 2})).index == 7
         assert BasisWord(frozenset({3})).index == 8
-
-    def test_word_to_index_matches_property(self):
-        w = BasisWord(frozenset({1, 3}))
-        assert word_to_index(w) == 10
 
     def test_from_index_round_trip(self):
         for m in range(1, 256):
@@ -269,10 +270,10 @@ class TestBuildTable:
 
     def test_validate_rejects_tampering(self):
         table = build_table(2)
-        rows = [list(r) for r in table.cells]
-        rows[0][1] = SignedBasis.zero()
-        bad = MulTable(table.k, table.n, tuple(tuple(r) for r in rows))
-        with pytest.raises(ValueError):
+        rows = [array("b", r) for r in table.signs]
+        rows[1][2] = 0
+        bad = MulTable(table.k, table.n, tuple(rows))
+        with pytest.raises(ValueError, match="must be nonzero"):
             bad.validate()
 
     def test_level_bounds(self):
@@ -309,6 +310,82 @@ class TestBuildTable:
                     )
 
 
+@lru_cache(maxsize=None)
+def cached_table(k):
+    return build_table(k)
+
+
+def reference_product(k, u, v):
+    """Bilinear product summed cell by cell through ``normalize_product``.
+
+    The same i-then-j order and the same ``sign * a * b`` terms as the sign
+    row loop, so double-mode results must agree bit for bit.
+    """
+    acc = [Fraction(0) if u.mode == EXACT else 0.0] * u.dim
+    for i, a in enumerate(u.coords, start=1):
+        if not a:
+            continue
+        for j, b in enumerate(v.coords, start=1):
+            if not b:
+                continue
+            cell = normalize_product(i, j, k)
+            if not cell.is_zero:
+                acc[cell.index - 1] += cell.sign * a * b
+    return Vector(acc, u.mode)
+
+
+class TestSignRowsAgainstRules:
+    """The sign rows, and the product read from them, against the rewrite rules.
+
+    ``normalize_product`` derives both sign and index from the rules, so these
+    tests also check that the index implied by the rows, i ^ j, is the one
+    the rules give.
+    """
+
+    def test_every_cell_up_to_level_five(self):
+        for k in range(1, 6):
+            table = build_table(k)
+            for i in range(1, table.n + 1):
+                for j in range(1, table.n + 1):
+                    assert table.entry(i, j) == normalize_product(i, j, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sampled_cells_at_levels_six_to_ten(self, data):
+        k = data.draw(st.integers(6, MAX_LEVEL))
+        n = (1 << (k + 1)) - 1
+        i = data.draw(st.integers(1, n))
+        j = data.draw(st.one_of(st.integers(1, n), st.just(i), st.just(i ^ (1 << k))))
+        if 1 <= j <= n:
+            assert cached_table(k).entry(i, j) == normalize_product(i, j, k)
+
+    @pytest.mark.parametrize("mode", [EXACT, DOUBLE])
+    @pytest.mark.parametrize("n", [15, 63, 255])
+    @settings(max_examples=6, deadline=None)
+    @given(nonzero=st.sampled_from((None, 2, 3, 4)), seed=st.integers(0, 2**32 - 1))
+    def test_table_product_matches_per_cell_reference(self, n, mode, nonzero, seed):
+        # nonzero=None draws dense vectors, else that many nonzero coordinates.
+        k = (n + 1).bit_length() - 2
+        rng = random.Random(seed)
+
+        def coords():
+            out = [0] * n
+            for t in range(n) if nonzero is None else rng.sample(range(n), nonzero):
+                if mode == EXACT:
+                    out[t] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                else:
+                    out[t] = rng.uniform(-9, 9)
+            return Vector(out, mode)
+
+        u, v = coords(), coords()
+        got = table_product(cached_table(k), u, v)
+        want = reference_product(k, u, v)
+        if mode == EXACT:
+            assert got == want
+        else:
+            assert [c.hex() for c in got.coords] == [c.hex() for c in want.coords]
+
+
 class TestSerialization:
     def test_csv_cells(self):
         lines = table_to_csv(build_table(2)).splitlines()
@@ -336,6 +413,25 @@ class TestSerialization:
             table_from_json(
                 json.dumps({"k": 1, "n": 3, "cells": [[0, 9, -2], [-3, 0, 1], [2, -1, 0]]})
             )
+        # Levels outside 1..MAX_LEVEL, and n that does not belong to k.
+        with pytest.raises(ValueError, match="level must be in"):
+            table_from_json(json.dumps({"k": 0, "n": 1, "cells": [[0]]}))
+        with pytest.raises(ValueError, match="level must be in"):
+            table_from_json(json.dumps({"k": MAX_LEVEL + 1, "n": 4095, "cells": []}))
+        with pytest.raises(ValueError, match="does not match level"):
+            table_from_json(json.dumps({"k": 5, "n": 3, "cells": R3_CELLS}))
+        # json reads true as a bool, which would otherwise pass for 1.
+        cells = [[0, 3, -2], [-3, 0, True], [2, -1, 0]]
+        with pytest.raises(ValueError, match=r"cell \(2,3\) holds True"):
+            table_from_json(json.dumps({"k": 1, "n": 3, "cells": cells}))
+        # An off-diagonal cell whose index is not i ^ j has no sign row form.
+        cells = [[0, 3, -1], [-3, 0, 1], [2, -1, 0]]
+        with pytest.raises(ValueError, match=r"cell \(1,3\) holds -1, expected ±2"):
+            table_from_json(json.dumps({"k": 1, "n": 3, "cells": cells}))
+        # Right shape and indices, but not antisymmetric: validate() rejects it.
+        cells = [[0, 3, -2], [3, 0, 1], [2, -1, 0]]
+        with pytest.raises(ValueError, match="not opposite"):
+            table_from_json(json.dumps({"k": 1, "n": 3, "cells": cells}))
 
     def test_markdown_uses_minus_sign_and_labels(self):
         text = table_to_markdown(build_table(1))

@@ -16,10 +16,11 @@ Core claims:
 """
 
 import json
+from array import array
 
 import pytest
 
-from crossn.symbolic import SignedBasis, MulTable, build_table
+from crossn.symbolic import MulTable, build_table
 from crossn.vecalg import Vector, dot
 from crossn.verify import (
     DEFAULT_SEED,
@@ -205,10 +206,10 @@ class TestClosure:
 
     def test_zeroed_cell_refuted(self):
         table = build_table(2)
-        rows = [list(r) for r in table.cells]
-        rows[0][1] = SignedBasis.zero()
-        rows[1][0] = SignedBasis.zero()
-        bad = MulTable(table.k, table.n, tuple(tuple(r) for r in rows))
+        rows = [array("b", r) for r in table.signs]
+        rows[1][2] = 0
+        rows[2][1] = 0
+        bad = MulTable(table.k, table.n, tuple(rows))
         report = orthonormal_closure_check(bad)
         assert report.refuted
         assert report.witness.u == Vector.unit(7, 1)
