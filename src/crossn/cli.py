@@ -79,6 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="which dimensions admit a cross product"
     )
     p_cls.add_argument("--max-k", type=int, default=3, help="largest level (1..6)")
+    p_cls.add_argument(
+        "--samples",
+        type=int,
+        default=verify.CLASSIFY_SAMPLES,
+        help="random pairs per level",
+    )
+    p_cls.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
 
     return parser
 
@@ -167,19 +174,18 @@ def _product_under_test(args, parser) -> verify.ProductUnderTest:
 
 
 def _parse_axioms(raw: str, parser) -> List[str]:
+    """Axiom names in first-seen order, each once; ``all`` means all four."""
     tokens = [t.strip() for t in raw.split(",") if t.strip()]
     if not tokens:
         _fail_usage(parser, "--axioms must name at least one axiom")
-    axioms: List[str] = []
     for t in tokens:
         if t not in AXIOM_CHOICES:
             _fail_usage(
                 parser, f"unknown axiom {t!r} (choose from {', '.join(AXIOM_CHOICES)})"
             )
-        if t == "all":
-            return ["perpendicular", "pythagorean", "bilinear", "identities"]
-        axioms.append(t)
-    return axioms
+    if "all" in tokens:
+        return ["perpendicular", "pythagorean", "bilinear", "identities"]
+    return list(dict.fromkeys(tokens))
 
 
 def cmd_verify(args, parser) -> Tuple[str, int]:
@@ -269,7 +275,9 @@ def cmd_classify(args, parser) -> Tuple[str, int]:
         _fail_usage(parser, "classification runs in exact mode only")
     if not 1 <= args.max_k <= 6:
         _fail_usage(parser, "--max-k must be in 1..6")
-    verdicts = verify.classify_dimensions(args.max_k)
+    if args.samples < 1:
+        _fail_usage(parser, "--samples must be >= 1")
+    verdicts = verify.classify_dimensions(args.max_k, args.samples, args.seed)
     lines = []
     status = 0
     for d in verdicts:
@@ -304,8 +312,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     text, status = handlers[args.command](args, parser)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            _fail_usage(parser, f"cannot write --output {args.output}: {exc.strerror}")
     else:
         print(text)
     return status

@@ -16,9 +16,10 @@ table.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -75,6 +76,11 @@ def zero_scalar(mode: str) -> Scalar:
     return Fraction(0) if mode == EXACT else 0.0
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in (EXACT, DOUBLE):
+        raise ValueError(f"unknown scalar mode {mode!r}")
+
+
 class Vector:
     """A dense coordinate vector with a fixed scalar mode.
 
@@ -86,8 +92,7 @@ class Vector:
     __slots__ = ("coords", "mode")
 
     def __init__(self, values: Iterable, mode: str = EXACT):
-        if mode not in (EXACT, DOUBLE):
-            raise ValueError(f"unknown scalar mode {mode!r}")
+        _check_mode(mode)
         coerce = _coerce_exact if mode == EXACT else _coerce_double
         coords = tuple(coerce(v) for v in values)
         if not coords:
@@ -97,6 +102,18 @@ class Vector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
+
+    @classmethod
+    def _of(cls, coords: tuple, mode: str) -> "Vector":
+        """Trusted constructor for internal results.
+
+        ``coords`` must be a non-empty tuple whose entries already have
+        ``mode``'s scalar type; nothing is checked or coerced.
+        """
+        v = object.__new__(cls)
+        object.__setattr__(v, "coords", coords)
+        object.__setattr__(v, "mode", mode)
+        return v
 
     @classmethod
     def exact(cls, values: Iterable) -> "Vector":
@@ -109,17 +126,19 @@ class Vector:
     @classmethod
     def unit(cls, dim: int, i: int, mode: str = EXACT) -> "Vector":
         """The standard basis vector e_i of R^dim (i is 1-indexed)."""
+        _check_mode(mode)
         if not 1 <= i <= dim:
             raise ValueError(f"unit index {i} out of range 1..{dim}")
         one = Fraction(1) if mode == EXACT else 1.0
         zero = zero_scalar(mode)
-        return cls((one if j == i else zero for j in range(1, dim + 1)), mode)
+        return cls._of(tuple(one if j == i else zero for j in range(1, dim + 1)), mode)
 
     @classmethod
     def zeros(cls, dim: int, mode: str = EXACT) -> "Vector":
+        _check_mode(mode)
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
-        return cls((zero_scalar(mode) for _ in range(dim)), mode)
+        return cls._of((zero_scalar(mode),) * dim, mode)
 
     @property
     def dim(self) -> int:
@@ -150,14 +169,14 @@ class Vector:
 
     def __add__(self, other: "Vector") -> "Vector":
         _check_pair(self, other, "+")
-        return Vector((a + b for a, b in zip(self.coords, other.coords)), self.mode)
+        return Vector._of(tuple(map(operator.add, self.coords, other.coords)), self.mode)
 
     def __sub__(self, other: "Vector") -> "Vector":
         _check_pair(self, other, "-")
-        return Vector((a - b for a, b in zip(self.coords, other.coords)), self.mode)
+        return Vector._of(tuple(map(operator.sub, self.coords, other.coords)), self.mode)
 
     def __neg__(self) -> "Vector":
-        return Vector((-a for a in self.coords), self.mode)
+        return Vector._of(tuple(-a for a in self.coords), self.mode)
 
     def scaled(self, c: Scalar) -> "Vector":
         """Scalar multiple c*self; c must belong to the vector's mode."""
@@ -169,7 +188,7 @@ class Vector:
             if isinstance(c, Fraction):
                 raise ValueError("cannot scale a double vector by a Fraction")
             c = float(c)
-        return Vector((c * a for a in self.coords), self.mode)
+        return Vector._of(tuple(c * a for a in self.coords), self.mode)
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coords)
@@ -209,13 +228,61 @@ def format_vector(v: Vector) -> str:
     return ",".join(repr(c) for c in v.coords)
 
 
+def _cleared(v: Vector) -> Tuple[Tuple[int, ...], int]:
+    """An exact vector's integer numerators over the lcm of its denominators."""
+    dens = [c.denominator for c in v.coords]
+    d = math.lcm(*dens)
+    return tuple(c.numerator * (d // q) for c, q in zip(v.coords, dens)), d
+
+
 def dot(u: Vector, v: Vector) -> Scalar:
     """Standard inner product sum(u_i * v_i)."""
     _check_pair(u, v, "dot")
-    total = zero_scalar(u.mode)
+    if u.mode == EXACT:
+        xs, dx = _cleared(u)
+        ys, dy = _cleared(v)
+        return Fraction(sum(map(operator.mul, xs, ys)), dx * dy)
+    # An explicit loop: sum() over floats is compensated from Python 3.12 on,
+    # which would make double results depend on the interpreter version.
+    total = 0.0
     for a, b in zip(u.coords, v.coords):
         total += a * b
     return total
+
+
+def _bilinear(formula, u: Vector, v: Vector) -> Vector:
+    """Apply a coordinate formula that is linear in each argument.
+
+    Double mode evaluates it on the float coordinates.  Exact mode evaluates
+    it on the cleared integer numerators and divides each output coordinate
+    once by the product of the two denominators.
+    """
+    if u.mode == DOUBLE:
+        return Vector._of(formula(u.coords, v.coords), DOUBLE)
+    xs, dx = _cleared(u)
+    ys, dy = _cleared(v)
+    d = dx * dy
+    return Vector._of(tuple(Fraction(t, d) for t in formula(xs, ys)), EXACT)
+
+
+def _cross3(x: Sequence, y: Sequence) -> tuple:
+    x1, x2, x3 = x
+    y1, y2, y3 = y
+    return (x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)
+
+
+def _cross7(x: Sequence, y: Sequence) -> tuple:
+    x1, x2, x3, x4, x5, x6, x7 = x
+    y1, y2, y3, y4, y5, y6, y7 = y
+    return (
+        -x3 * y2 + x2 * y3 - x5 * y4 + x4 * y5 - x6 * y7 + x7 * y6,
+        -x1 * y3 + x3 * y1 - x6 * y4 + x4 * y6 - x7 * y5 + x5 * y7,
+        -x2 * y1 + x1 * y2 - x7 * y4 + x4 * y7 - x5 * y6 + x6 * y5,
+        -x1 * y5 + x5 * y1 - x2 * y6 + x6 * y2 - x3 * y7 + x7 * y3,
+        -x4 * y1 + x1 * y4 - x2 * y7 + x7 * y2 - x6 * y3 + x3 * y6,
+        -x7 * y1 + x1 * y7 - x4 * y2 + x2 * y4 - x3 * y5 + x5 * y3,
+        -x5 * y2 + x2 * y5 - x4 * y3 + x3 * y4 - x1 * y6 + x6 * y1,
+    )
 
 
 def cross3(u: Vector, v: Vector) -> Vector:
@@ -223,11 +290,7 @@ def cross3(u: Vector, v: Vector) -> Vector:
     _check_pair(u, v, "cross3")
     if u.dim != 3:
         raise ValueError(f"cross3 needs 3-dimensional vectors, got dim {u.dim}")
-    x1, x2, x3 = u.coords
-    y1, y2, y3 = v.coords
-    return Vector(
-        (x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1), u.mode
-    )
+    return _bilinear(_cross3, u, v)
 
 
 def cross7(u: Vector, v: Vector) -> Vector:
@@ -239,20 +302,7 @@ def cross7(u: Vector, v: Vector) -> Vector:
     _check_pair(u, v, "cross7")
     if u.dim != 7:
         raise ValueError(f"cross7 needs 7-dimensional vectors, got dim {u.dim}")
-    x1, x2, x3, x4, x5, x6, x7 = u.coords
-    y1, y2, y3, y4, y5, y6, y7 = v.coords
-    return Vector(
-        (
-            -x3 * y2 + x2 * y3 - x5 * y4 + x4 * y5 - x6 * y7 + x7 * y6,
-            -x1 * y3 + x3 * y1 - x6 * y4 + x4 * y6 - x7 * y5 + x5 * y7,
-            -x2 * y1 + x1 * y2 - x7 * y4 + x4 * y7 - x5 * y6 + x6 * y5,
-            -x1 * y5 + x5 * y1 - x2 * y6 + x6 * y2 - x3 * y7 + x7 * y3,
-            -x4 * y1 + x1 * y4 - x2 * y7 + x7 * y2 - x6 * y3 + x3 * y6,
-            -x7 * y1 + x1 * y7 - x4 * y2 + x2 * y4 - x3 * y5 + x5 * y3,
-            -x5 * y2 + x2 * y5 - x4 * y3 + x3 * y4 - x1 * y6 + x6 * y1,
-        ),
-        u.mode,
-    )
+    return _bilinear(_cross7, u, v)
 
 
 def padded_cross(u: Vector, v: Vector) -> Vector:
@@ -264,9 +314,8 @@ def padded_cross(u: Vector, v: Vector) -> Vector:
     _check_pair(u, v, "padded_cross")
     if u.dim < 3:
         raise ValueError(f"padded_cross needs dim >= 3, got {u.dim}")
-    head = cross3(Vector(u.coords[:3], u.mode), Vector(v.coords[:3], v.mode))
-    zero = zero_scalar(u.mode)
-    return Vector(head.coords + tuple(zero for _ in range(u.dim - 3)), u.mode)
+    head = cross3(Vector._of(u.coords[:3], u.mode), Vector._of(v.coords[:3], v.mode))
+    return Vector._of(head.coords + (zero_scalar(u.mode),) * (u.dim - 3), u.mode)
 
 
 def det_product(rows: Sequence[Vector]) -> Vector:
@@ -349,4 +398,4 @@ def table_product(table, u: Vector, v: Vector) -> Vector:
             s = row[j]
             if s:
                 acc[(i ^ j) - 1] += s * a * b
-    return Vector(acc, u.mode)
+    return Vector._of(tuple(acc), u.mode)

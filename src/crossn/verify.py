@@ -41,6 +41,8 @@ IDENTITY_AXIOMS = (
 
 DEFAULT_SEED = 1063
 DEFAULT_SAMPLES = 200
+# classify_dimensions runs more random pairs per level than one verify call.
+CLASSIFY_SAMPLES = 1000
 
 NUMERATOR_RANGE = (-9, 9)
 DENOMINATORS = (1, 2, 3)
@@ -438,13 +440,12 @@ def orthonormal_closure_check(table: symbolic.MulTable) -> AxiomReport:
     """Closure and orthonormality of the realized basis under the table.
 
     Every off-diagonal product of basis vectors must be exactly one signed
-    unit coordinate (squared norm 1), the diagonal must vanish, and the
-    realized basis vectors must be pairwise orthogonal unit vectors.
+    unit coordinate (squared norm 1) and the diagonal must vanish; one case
+    per ordered basis pair.
     """
     product = product_for_table(table)
     n = table.n
     count = 0
-    witness = None
     for i in range(1, n + 1):
         ei = Vector.unit(n, i)
         for j in range(1, n + 1):
@@ -458,24 +459,8 @@ def orthonormal_closure_check(table: symbolic.MulTable) -> AxiomReport:
                 witness = Witness(
                     u=ei, v=Vector.unit(n, j), w=w, lhs=norm2, rhs=expected
                 )
-                break
-        if witness:
-            break
-    if witness is None:
-        for i in range(1, n + 1):
-            ei = Vector.unit(n, i)
-            for j in range(1, n + 1):
-                count += 1
-                d = dot(ei, Vector.unit(n, j))
-                expected = Fraction(1) if i == j else Fraction(0)
-                if d != expected:
-                    witness = Witness(
-                        u=ei, v=Vector.unit(n, j), lhs=d, rhs=expected
-                    )
-                    break
-            if witness:
-                break
-    return _report(product, AXIOM_CLOSURE, witness, count, 0)
+                return _report(product, AXIOM_CLOSURE, witness, count, 0)
+    return _report(product, AXIOM_CLOSURE, None, count, 0)
 
 
 @dataclass(frozen=True)
@@ -489,7 +474,7 @@ class DimensionVerdict:
 
 def classify_dimensions(
     max_k: int,
-    samples: int = 1000,
+    samples: int = CLASSIFY_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> List[DimensionVerdict]:
     """Pythagorean verdict for every table level up to max_k.
@@ -542,10 +527,8 @@ def replay(report: AxiomReport, product: ProductUnderTest) -> bool:
         lhs, rhs = _identity_sides(axiom, product, w.u, w.v, w.w)
         return (lhs, rhs) == (w.lhs, w.rhs) and lhs != rhs
     if axiom == AXIOM_CLOSURE:
-        if w.w is not None:
-            out = product.evaluate(w.u, w.v)
-            return dot(out, out) == w.lhs and w.lhs != w.rhs
-        return dot(w.u, w.v) == w.lhs and w.lhs != w.rhs
+        out = product.evaluate(w.u, w.v)
+        return dot(out, out) == w.lhs and w.lhs != w.rhs
     raise ValueError(f"cannot replay axiom {report.axiom!r}")
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from crossn import verify
 from crossn.cli import main
 from crossn.symbolic import build_table, table_from_json, table_to_markdown
 
@@ -274,6 +275,32 @@ class TestVerifyCommand:
             == 2
         )
 
+    def test_unknown_axiom_after_all(self, capsys):
+        assert (
+            run_usage_error(
+                capsys, "verify", "--product", "cross3", "--axioms", "all,magic"
+            )
+            == 2
+        )
+
+    def test_repeated_axioms_collapse_in_first_seen_order(self, capsys):
+        status, out = run(
+            capsys,
+            "verify", "--product", "cross7", "--samples", "5",
+            "--axioms", "perpendicular,perpendicular",
+        )
+        assert status == 0
+        assert [r["axiom"] for r in json.loads(out)] == ["perpendicular"]
+        _, out = run(
+            capsys,
+            "verify", "--product", "cross3", "--samples", "5",
+            "--axioms", "bilinear, perpendicular,bilinear",
+        )
+        assert [r["axiom"] for r in json.loads(out)] == [
+            "bilinear",
+            "perpendicular",
+        ]
+
     def test_byte_identical_reruns(self, capsys):
         args = (
             "verify", "--product", "cross7", "--samples", "15", "--seed", "7",
@@ -343,6 +370,29 @@ class TestClassifyCommand:
         assert run_usage_error(capsys, "classify", "--max-k", "0") == 2
         assert run_usage_error(capsys, "classify", "--max-k", "7") == 2
 
+    def test_samples_and_seed_reach_the_checker(self, capsys, monkeypatch):
+        calls = []
+        classify = verify.classify_dimensions
+
+        def spy(max_k, samples, seed):
+            calls.append((max_k, samples, seed))
+            return classify(max_k, samples, seed)
+
+        monkeypatch.setattr(verify, "classify_dimensions", spy)
+        _, default = run(capsys, "classify", "--max-k", "3")
+        _, explicit = run(
+            capsys, "classify", "--max-k", "3", "--samples", "1000", "--seed", "1063"
+        )
+        status, _ = run(
+            capsys, "classify", "--max-k", "2", "--samples", "7", "--seed", "11"
+        )
+        assert status == 0
+        assert default == explicit
+        assert calls == [(3, 1000, 1063), (3, 1000, 1063), (2, 7, 11)]
+
+    def test_samples_must_be_positive(self, capsys):
+        assert run_usage_error(capsys, "classify", "--samples", "0") == 2
+
 
 # == output plumbing =========================================================
 
@@ -358,3 +408,15 @@ class TestOutputFile:
         assert target.read_text(encoding="utf-8") == table_to_markdown(
             build_table(1)
         ) + "\n"
+
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(target), "table", "--k", "1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith(
+            f"crossn: error: cannot write --output {target}: "
+        )
+        assert not target.exists()

@@ -9,9 +9,13 @@ Core claims:
     - det_product is the formal first-row cofactor expansion: perpendicular
       to every row, equal to cross3 for n = 3, zero on repeated rows
     - parsing/formatting of comma-separated rational literals round-trips
+    - the integer kernels behind exact dot/cross3/cross7/padded_cross equal a
+      term-by-term Fraction evaluation, and double mode is bit-identical to
+      the plain float formulas
 """
 
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -345,3 +349,123 @@ class TestTableProduct:
         lhs = table_product(table, u.scaled(a) + u2, v)
         rhs = table_product(table, u, v).scaled(a) + table_product(table, u2, v)
         assert lhs == rhs
+
+
+# == integer kernels against the term-by-term formulas =======================
+
+
+def _ref_dot(x, y, zero):
+    total = zero
+    for a, b in zip(x, y):
+        total += a * b
+    return total
+
+
+def _ref_cross3(x, y):
+    x1, x2, x3 = x
+    y1, y2, y3 = y
+    return (x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)
+
+
+def _ref_cross7(x, y):
+    x1, x2, x3, x4, x5, x6, x7 = x
+    y1, y2, y3, y4, y5, y6, y7 = y
+    return (
+        -x3 * y2 + x2 * y3 - x5 * y4 + x4 * y5 - x6 * y7 + x7 * y6,
+        -x1 * y3 + x3 * y1 - x6 * y4 + x4 * y6 - x7 * y5 + x5 * y7,
+        -x2 * y1 + x1 * y2 - x7 * y4 + x4 * y7 - x5 * y6 + x6 * y5,
+        -x1 * y5 + x5 * y1 - x2 * y6 + x6 * y2 - x3 * y7 + x7 * y3,
+        -x4 * y1 + x1 * y4 - x2 * y7 + x7 * y2 - x6 * y3 + x3 * y6,
+        -x7 * y1 + x1 * y7 - x4 * y2 + x2 * y4 - x3 * y5 + x5 * y3,
+        -x5 * y2 + x2 * y5 - x4 * y3 + x3 * y4 - x1 * y6 + x6 * y1,
+    )
+
+
+def _ref_padded(x, y):
+    zero = Fraction(0) if isinstance(x[0], Fraction) else 0.0
+    return _ref_cross3(x[:3], y[:3]) + (zero,) * (len(x) - 3)
+
+
+# (product, reference formula, dimensions to draw)
+KERNELS = {
+    "cross3": (cross3, _ref_cross3, (3,)),
+    "cross7": (cross7, _ref_cross7, (7,)),
+    "padded": (padded_cross, _ref_padded, (3, 4, 8, 15)),
+}
+
+
+def wide_rationals():
+    # Zeros and units as in basis inputs, plus denominators far beyond the
+    # verifier's {1, 2, 3}, so the lcm of a vector's denominators is large.
+    return st.one_of(
+        st.sampled_from((0, 1, -1)).map(Fraction),
+        st.fractions(max_denominator=10**6),
+    )
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _draw_pair(data, dims, element):
+    n = data.draw(st.sampled_from(dims))
+    coords = st.lists(element, min_size=n, max_size=n).map(tuple)
+    return data.draw(coords), data.draw(coords)
+
+
+def _bits(values):
+    return [struct.pack("<d", c) for c in values]
+
+
+class TestIntegerKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_exact_dot_matches_fraction_sum(self, data):
+        x, y = _draw_pair(data, (1, 3, 7, 16), wide_rationals())
+        out = dot(Vector.exact(x), Vector.exact(y))
+        assert type(out) is Fraction
+        assert out == _ref_dot(x, y, Fraction(0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_double_dot_is_bit_identical(self, data):
+        x, y = _draw_pair(data, (1, 3, 7, 16), FINITE_FLOATS)
+        out = dot(Vector.double(x), Vector.double(y))
+        assert type(out) is float
+        assert _bits([out]) == _bits([_ref_dot(x, y, 0.0)])
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exact_product_matches_fraction_formula(self, name, data):
+        product, reference, dims = KERNELS[name]
+        x, y = _draw_pair(data, dims, wide_rationals())
+        out = product(Vector.exact(x), Vector.exact(y))
+        assert out.mode == "exact"
+        assert all(type(c) is Fraction for c in out.coords)
+        assert out.coords == reference(x, y)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_double_product_is_bit_identical(self, name, data):
+        product, reference, dims = KERNELS[name]
+        x, y = _draw_pair(data, dims, FINITE_FLOATS)
+        out = product(Vector.double(x), Vector.double(y))
+        assert out.mode == DOUBLE
+        assert all(type(c) is float for c in out.coords)
+        assert _bits(out.coords) == _bits(reference(x, y))
+
+    def test_results_keep_the_scalar_type(self):
+        for mode, scalar in (("exact", Fraction), (DOUBLE, float)):
+            u = Vector([1, -2, 3, 0], mode)
+            v = Vector([0, 5, -1, 2], mode)
+            for out in (u + v, u - v, -u, u.scaled(3), Vector.unit(4, 2, mode),
+                        Vector.zeros(4, mode), padded_cross(u, v)):
+                assert out.mode == mode
+                assert all(type(c) is scalar for c in out.coords)
+
+    def test_unit_and_zeros_reject_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown scalar mode"):
+            Vector.unit(3, 1, mode="bogus")
+        with pytest.raises(ValueError, match="unknown scalar mode"):
+            Vector.zeros(3, "bogus")

@@ -200,9 +200,11 @@ class TestIdentities:
 class TestClosure:
     def test_generated_tables_pass(self):
         for k in (2, 3):
-            report = orthonormal_closure_check(build_table(k))
+            table = build_table(k)
+            report = orthonormal_closure_check(table)
             assert report.verdict == HOLDS
             assert report.axiom == "closure"
+            assert report.samples_run == table.n**2
 
     def test_zeroed_cell_refuted(self):
         table = build_table(2)
