@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
+import tempfile
 from typing import List, Optional, Tuple
 
 from . import symbolic, verify
@@ -79,13 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="which dimensions admit a cross product"
     )
     p_cls.add_argument("--max-k", type=int, default=3, help="largest level (1..6)")
-    p_cls.add_argument(
-        "--samples",
-        type=int,
-        default=verify.CLASSIFY_SAMPLES,
-        help="random pairs per level",
-    )
-    p_cls.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
 
     return parser
 
@@ -275,9 +271,7 @@ def cmd_classify(args, parser) -> Tuple[str, int]:
         _fail_usage(parser, "classification runs in exact mode only")
     if not 1 <= args.max_k <= 6:
         _fail_usage(parser, "--max-k must be in 1..6")
-    if args.samples < 1:
-        _fail_usage(parser, "--samples must be >= 1")
-    verdicts = verify.classify_dimensions(args.max_k, args.samples, args.seed)
+    verdicts = verify.classify_dimensions(args.max_k)
     lines = []
     status = 0
     for d in verdicts:
@@ -300,6 +294,41 @@ def cmd_classify(args, parser) -> Tuple[str, int]:
     return "\n".join(lines), status
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` so that a failed write leaves the old file.
+
+    A regular file (or a new one) is written to a temporary file in the same
+    directory and renamed onto the target, keeping an existing file's
+    permission bits.  Any other existing path, such as a device or a pipe,
+    is written in place.  Symlinks are followed.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
+    if mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}."
+    )
+    os.close(fd)
+    try:
+        os.chmod(tmp, stat.S_IMODE(mode))
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -313,10 +342,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     text, status = handlers[args.command](args, parser)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            _write_output(args.output, text + "\n")
         except OSError as exc:
-            _fail_usage(parser, f"cannot write --output {args.output}: {exc.strerror}")
+            reason = exc.strerror or exc
+            _fail_usage(parser, f"cannot write --output {args.output}: {reason}")
     else:
         print(text)
     return status

@@ -12,12 +12,15 @@ Core claims:
     - identical invocations are byte-identical
 """
 
+import errno
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
 
-from crossn import verify
+from crossn import cli
 from crossn.cli import main
 from crossn.symbolic import build_table, table_from_json, table_to_markdown
 
@@ -370,29 +373,6 @@ class TestClassifyCommand:
         assert run_usage_error(capsys, "classify", "--max-k", "0") == 2
         assert run_usage_error(capsys, "classify", "--max-k", "7") == 2
 
-    def test_samples_and_seed_reach_the_checker(self, capsys, monkeypatch):
-        calls = []
-        classify = verify.classify_dimensions
-
-        def spy(max_k, samples, seed):
-            calls.append((max_k, samples, seed))
-            return classify(max_k, samples, seed)
-
-        monkeypatch.setattr(verify, "classify_dimensions", spy)
-        _, default = run(capsys, "classify", "--max-k", "3")
-        _, explicit = run(
-            capsys, "classify", "--max-k", "3", "--samples", "1000", "--seed", "1063"
-        )
-        status, _ = run(
-            capsys, "classify", "--max-k", "2", "--samples", "7", "--seed", "11"
-        )
-        assert status == 0
-        assert default == explicit
-        assert calls == [(3, 1000, 1063), (3, 1000, 1063), (2, 7, 11)]
-
-    def test_samples_must_be_positive(self, capsys):
-        assert run_usage_error(capsys, "classify", "--samples", "0") == 2
-
 
 # == output plumbing =========================================================
 
@@ -420,3 +400,65 @@ class TestOutputFile:
             f"crossn: error: cannot write --output {target}: "
         )
         assert not target.exists()
+
+    def test_failed_write_keeps_the_existing_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        target = tmp_path / "table.md"
+        target.write_text("old contents\n", encoding="utf-8")
+        real_open = open
+
+        class DiskFull:
+            """A file that takes a few characters, then runs out of space."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:10])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(
+            cli,
+            "open",
+            lambda *a, **kw: DiskFull(real_open(*a, **kw)),
+            raising=False,
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(target), "table", "--k", "1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.strip().splitlines()[-1] == (
+            f"crossn: error: cannot write --output {target}: "
+            f"{os.strerror(errno.ENOSPC)}"
+        )
+        assert target.read_text(encoding="utf-8") == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.md"]
+
+    def test_rewrite_keeps_permissions_and_leaves_no_temporary(
+        self, tmp_path, capsys
+    ):
+        target = tmp_path / "table.md"
+        target.write_text("old contents\n", encoding="utf-8")
+        target.chmod(0o640)
+        status, _ = run(capsys, "--output", str(target), "table", "--k", "1")
+        assert status == 0
+        assert target.read_text(encoding="utf-8") == table_to_markdown(
+            build_table(1)
+        ) + "\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["table.md"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_device_is_written_in_place(self, capsys):
+        status, out = run(capsys, "--output", "/dev/null", "table", "--k", "1")
+        assert status == 0
+        assert out == ""
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
