@@ -9,6 +9,7 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -153,7 +154,12 @@ def _product_under_test(args, parser) -> verify.ProductUnderTest:
             _fail_usage(parser, "verify --product table needs --k")
         if not 1 <= args.k <= symbolic.MAX_LEVEL:
             _fail_usage(parser, f"--k must be in 1..{symbolic.MAX_LEVEL}")
+        n = (1 << (args.k + 1)) - 1
+        if args.n not in (None, n):
+            _fail_usage(parser, f"the level-{args.k} table has dimension {n}")
         return verify.product_for_table(symbolic.build_table(args.k))
+    if args.k is not None:
+        _fail_usage(parser, "--k applies only to --product table")
     if name == "cross3":
         if args.n not in (None, 3):
             _fail_usage(parser, "cross3 has dimension 3")
@@ -294,6 +300,20 @@ def cmd_classify(args, parser) -> Tuple[str, int]:
     return "\n".join(lines), status
 
 
+def _check_output_path(path: str) -> None:
+    """Raise OSError if ``path`` can never be written as a file.
+
+    That is so when its directory is missing or is not a directory, or when
+    ``path`` is itself a directory.  Nothing is created or truncated, so a
+    later failure can still only show when the file is written.
+    """
+    target = os.path.realpath(path)
+    if not stat.S_ISDIR(os.stat(os.path.dirname(target)).st_mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    if os.path.isdir(target):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+
+
 def _write_output(path: str, text: str) -> None:
     """Write ``text`` to ``path`` so that a failed write leaves the old file.
 
@@ -329,6 +349,10 @@ def _write_output(path: str, text: str) -> None:
         raise
 
 
+def _fail_output(parser, path: str, exc: OSError) -> None:
+    _fail_usage(parser, f"cannot write --output {path}: {exc.strerror or exc}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -339,13 +363,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "counterexample": cmd_counterexample,
         "classify": cmd_classify,
     }
+    if args.output:
+        try:
+            _check_output_path(args.output)
+        except OSError as exc:
+            _fail_output(parser, args.output, exc)
     text, status = handlers[args.command](args, parser)
     if args.output:
         try:
             _write_output(args.output, text + "\n")
         except OSError as exc:
-            reason = exc.strerror or exc
-            _fail_usage(parser, f"cannot write --output {args.output}: {reason}")
+            _fail_output(parser, args.output, exc)
     else:
         print(text)
     return status

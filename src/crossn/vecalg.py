@@ -36,6 +36,9 @@ MAX_DET_DIM = 12
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
+# Exact ``scaled``, ``+`` and ``-`` give every zero coordinate this one value.
+_ZERO = Fraction(0)
+
 
 def _coerce_exact(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -89,7 +92,9 @@ class Vector:
     coordinates from 1 (so ``unit(n, 1)`` is e1).
     """
 
-    __slots__ = ("coords", "mode")
+    # ``_ints`` is set by ``_cleared`` on first use; equality, hashing and
+    # repr ignore it.
+    __slots__ = ("coords", "mode", "_ints")
 
     def __init__(self, values: Iterable, mode: str = EXACT):
         _check_mode(mode)
@@ -169,10 +174,14 @@ class Vector:
 
     def __add__(self, other: "Vector") -> "Vector":
         _check_pair(self, other, "+")
+        if self.mode == EXACT:
+            return _exact_sum(operator.add, self, other)
         return Vector._of(tuple(map(operator.add, self.coords, other.coords)), self.mode)
 
     def __sub__(self, other: "Vector") -> "Vector":
         _check_pair(self, other, "-")
+        if self.mode == EXACT:
+            return _exact_sum(operator.sub, self, other)
         return Vector._of(tuple(map(operator.sub, self.coords, other.coords)), self.mode)
 
     def __neg__(self) -> "Vector":
@@ -184,10 +193,14 @@ class Vector:
             if isinstance(c, float):
                 raise ValueError("cannot scale an exact vector by a float")
             c = _coerce_exact(c)
-        else:
-            if isinstance(c, Fraction):
-                raise ValueError("cannot scale a double vector by a Fraction")
-            c = float(c)
+            xs, d = _cleared(self)
+            p, q = c.numerator, c.denominator * d
+            return Vector._of(
+                tuple(Fraction(p * x, q) if x else _ZERO for x in xs), EXACT
+            )
+        if isinstance(c, Fraction):
+            raise ValueError("cannot scale a double vector by a Fraction")
+        c = float(c)
         return Vector._of(tuple(c * a for a in self.coords), self.mode)
 
     def is_zero(self) -> bool:
@@ -229,10 +242,35 @@ def format_vector(v: Vector) -> str:
 
 
 def _cleared(v: Vector) -> Tuple[Tuple[int, ...], int]:
-    """An exact vector's integer numerators over the lcm of its denominators."""
+    """An exact vector's integer numerators over the lcm of its denominators.
+
+    Computed once per vector and kept on it; vectors are immutable, so the
+    kept value cannot go stale.
+    """
+    try:
+        return v._ints
+    except AttributeError:
+        pass
     dens = [c.denominator for c in v.coords]
     d = math.lcm(*dens)
-    return tuple(c.numerator * (d // q) for c, q in zip(v.coords, dens)), d
+    ints = tuple(c.numerator * (d // q) for c, q in zip(v.coords, dens)), d
+    object.__setattr__(v, "_ints", ints)
+    return ints
+
+
+def _exact_sum(op, u: Vector, v: Vector) -> Vector:
+    """``op`` (add or sub) of two exact vectors of equal dimension, computed
+    on their cleared integers with one Fraction per nonzero coordinate."""
+    xs, dx = _cleared(u)
+    ys, dy = _cleared(v)
+    d = dx * dy
+    return Vector._of(
+        tuple(
+            Fraction(op(x * dy, y * dx), d) if x or y else _ZERO
+            for x, y in zip(xs, ys)
+        ),
+        EXACT,
+    )
 
 
 def dot(u: Vector, v: Vector) -> Scalar:

@@ -15,6 +15,7 @@ from the recorded seed.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,11 +157,42 @@ def random_vector(rng: random.Random, n: int) -> Vector:
     return Vector([random_rational(rng) for _ in range(n)])
 
 
-def _basis_pairs(n: int):
-    for i in range(1, n + 1):
-        u = Vector.unit(n, i)
-        for j in range(1, n + 1):
-            yield u, Vector.unit(n, j)
+def _units(n: int) -> tuple:
+    """e_1..e_n for the exhaustive basis stages; empty above BASIS_PAIR_LIMIT."""
+    if n > BASIS_PAIR_LIMIT:
+        return ()
+    return tuple(Vector.unit(n, i) for i in range(1, n + 1))
+
+
+def _basis_pairs(units: tuple):
+    for u in units:
+        for v in units:
+            yield u, v
+
+
+def _memoised(product: ProductUnderTest, units: tuple) -> ProductUnderTest:
+    """``product`` evaluating the product of two of ``units`` at most once.
+
+    Only up to BASIS_TRIPLE_LIMIT, where the basis stages reuse pairs.  The
+    memo is keyed by ``id``; ``live`` holds the units, so while the memo
+    exists no other vector can have one of their ids.
+    """
+    if product.dim > BASIS_TRIPLE_LIMIT:
+        return product
+    evaluate = product.evaluate
+    live = {id(e): e for e in units}
+    memo = {}
+
+    def cached(u: Vector, v: Vector) -> Vector:
+        if id(u) not in live or id(v) not in live:
+            return evaluate(u, v)
+        key = (id(u), id(v))
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = evaluate(u, v)
+        return out
+
+    return dataclasses.replace(product, evaluate=cached)
 
 
 def _report(product: ProductUnderTest, axiom: str, witness, count: int, seed: int):
@@ -195,8 +227,7 @@ def check_perpendicular(
     count = 0
 
     def pairs():
-        if product.dim <= BASIS_PAIR_LIMIT:
-            yield from _basis_pairs(product.dim)
+        yield from _basis_pairs(_units(product.dim))
         for _ in range(samples):
             yield random_vector(rng, product.dim), random_vector(rng, product.dim)
 
@@ -235,8 +266,7 @@ def check_pythagorean(
 
     def pairs():
         yield from _known_pythagorean_witnesses(product)
-        if product.dim <= BASIS_PAIR_LIMIT:
-            yield from _basis_pairs(product.dim)
+        yield from _basis_pairs(_units(product.dim))
         for _ in range(samples):
             yield random_vector(rng, product.dim), random_vector(rng, product.dim)
 
@@ -280,18 +310,13 @@ def check_bilinear(
     n = product.dim
     count = 0
     fixed = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
+    units = _units(n)
+    evaluated = _memoised(product, units)
 
     def cases():
-        if n <= BASIS_PAIR_LIMIT:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    yield (
-                        fixed,
-                        Vector.unit(n, i),
-                        Vector.unit(n, i % n + 1),
-                        Vector.unit(n, j),
-                        Vector.unit(n, j % n + 1),
-                    )
+        for i, u in enumerate(units):
+            for j, v in enumerate(units):
+                yield fixed, u, units[(i + 1) % n], v, units[(j + 1) % n]
         for _ in range(samples):
             coeffs = tuple(random_rational(rng) for _ in range(4))
             yield (
@@ -304,7 +329,7 @@ def check_bilinear(
 
     for coeffs, u, u2, v, v2 in cases():
         count += 1
-        lhs, rhs = _bilinear_sides(product, coeffs, u, u2, v, v2)
+        lhs, rhs = _bilinear_sides(evaluated, coeffs, u, u2, v, v2)
         if lhs != rhs:
             a, b, c, d = coeffs
             witness = Witness(
@@ -350,8 +375,8 @@ _TRIPLE_IDENTITIES = ("identity-1.1", "identity-1.4", "identity-1.6")
 _ORTHONORMAL_IDENTITIES = ("identity-1.5", "identity-1.6")
 
 
-def _identity_cases(axiom: str, n: int, samples: int, rng: random.Random):
-    """Deterministic basis inputs, then seeded random inputs.
+def _identity_cases(axiom: str, units: tuple, n: int, samples: int, rng: random.Random):
+    """Deterministic basis inputs from ``units``, then seeded random inputs.
 
     The orthonormal identities only quantify over distinct standard basis
     vectors (their hypothesis is an orthogonal unit tuple); the others range
@@ -363,24 +388,17 @@ def _identity_cases(axiom: str, n: int, samples: int, rng: random.Random):
     if orthonormal:
         if triple:
             if n <= BASIS_TRIPLE_LIMIT:
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        for m in range(1, n + 1):
-                            if len({i, j, m}) == 3:
-                                yield (
-                                    Vector.unit(n, i),
-                                    Vector.unit(n, j),
-                                    Vector.unit(n, m),
-                                )
+                for u, v in _basis_pairs(units):
+                    for w in units:
+                        if u is not v and v is not w and u is not w:
+                            yield u, v, w
             for _ in range(samples):
                 i, j, m = rng.sample(range(1, n + 1), 3)
                 yield Vector.unit(n, i), Vector.unit(n, j), Vector.unit(n, m)
         else:
-            if n <= BASIS_PAIR_LIMIT:
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        if i != j:
-                            yield Vector.unit(n, i), Vector.unit(n, j), None
+            for u, v in _basis_pairs(units):
+                if u is not v:
+                    yield u, v, None
             for _ in range(samples):
                 i, j = rng.sample(range(1, n + 1), 2)
                 yield Vector.unit(n, i), Vector.unit(n, j), None
@@ -388,10 +406,9 @@ def _identity_cases(axiom: str, n: int, samples: int, rng: random.Random):
 
     if triple:
         if n <= BASIS_TRIPLE_LIMIT:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for m in range(1, n + 1):
-                        yield Vector.unit(n, i), Vector.unit(n, j), Vector.unit(n, m)
+            for u, v in _basis_pairs(units):
+                for w in units:
+                    yield u, v, w
         for _ in range(samples):
             yield (
                 random_vector(rng, n),
@@ -399,9 +416,8 @@ def _identity_cases(axiom: str, n: int, samples: int, rng: random.Random):
                 random_vector(rng, n),
             )
     else:
-        if n <= BASIS_PAIR_LIMIT:
-            for u, v in _basis_pairs(n):
-                yield u, v, None
+        for u, v in _basis_pairs(units):
+            yield u, v, None
         for _ in range(samples):
             yield random_vector(rng, n), random_vector(rng, n), None
 
@@ -418,9 +434,11 @@ def check_identity(
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     count = 0
-    for u, v, w in _identity_cases(axiom, product.dim, samples, rng):
+    units = _units(product.dim)
+    evaluated = _memoised(product, units)
+    for u, v, w in _identity_cases(axiom, units, product.dim, samples, rng):
         count += 1
-        lhs, rhs = _identity_sides(axiom, product, u, v, w)
+        lhs, rhs = _identity_sides(axiom, evaluated, u, v, w)
         if lhs != rhs:
             witness = Witness(u=u, v=v, w=w, lhs=lhs, rhs=rhs)
             return _report(product, axiom, witness, count, seed)

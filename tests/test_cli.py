@@ -9,10 +9,12 @@ Core claims:
     - classify lists the verdict per level and the surviving dimensions
     - exit codes: 0 ok, 1 verdict mismatch, 2 usage errors
     - exact-mode output never contains decimal approximations
-    - identical invocations are byte-identical
+    - identical invocations are byte-identical, and the reports of a fixed
+      set of commands keep their recorded sha256
 """
 
 import errno
+import hashlib
 import json
 import os
 import stat
@@ -270,6 +272,31 @@ class TestVerifyCommand:
     def test_padded_requires_n(self, capsys):
         assert run_usage_error(capsys, "verify", "--product", "padded") == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("table", "--k", "2", "--n", "99"), "the level-2 table has dimension 7"),
+            (("cross7", "--k", "9"), "--k applies only to --product table"),
+            (("padded", "--n", "8", "--k", "4"), "--k applies only to --product table"),
+        ],
+        ids=["table-n", "cross7-k", "padded-k"],
+    )
+    def test_contradictory_flags(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--product", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            f"crossn: error: {message}"
+        )
+
+    def test_table_accepts_its_own_dimension(self, capsys):
+        status, out = run(
+            capsys, "verify", "--product", "table", "--k", "2", "--n", "7",
+            "--samples", "2", "--axioms", "perpendicular",
+        )
+        assert status == 0
+        assert json.loads(out)[0]["dim"] == 7
+
     def test_unknown_axiom(self, capsys):
         assert (
             run_usage_error(
@@ -456,9 +483,62 @@ class TestOutputFile:
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert [p.name for p in tmp_path.iterdir()] == ["table.md"]
 
+    @pytest.mark.parametrize(
+        "where, reason",
+        [
+            ("missing/out.txt", errno.ENOENT),
+            ("file.txt/out.txt", errno.ENOTDIR),
+            (".", errno.EISDIR),
+        ],
+        ids=["missing-dir", "file-as-dir", "is-a-dir"],
+    )
+    def test_unwritable_path_fails_before_the_command(
+        self, tmp_path, capsys, monkeypatch, where, reason
+    ):
+        (tmp_path / "file.txt").write_text("keep\n", encoding="utf-8")
+        target = tmp_path / where
+
+        def never(args, parser):
+            raise AssertionError("the command ran before --output was checked")
+
+        monkeypatch.setattr(cli, "cmd_verify", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(target), "verify", "--product", "table", "--k", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            f"crossn: error: cannot write --output {target}: {os.strerror(reason)}"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+        assert (tmp_path / "file.txt").read_text(encoding="utf-8") == "keep\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     def test_device_is_written_in_place(self, capsys):
         status, out = run(capsys, "--output", "/dev/null", "table", "--k", "1")
         assert status == 0
         assert out == ""
         assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
+# == golden reports ==========================================================
+
+# sha256 of stdout at the default seed.  The checkers' fast paths (kept
+# cleared integers, basis products evaluated once) must not move a byte.
+GOLDEN_DIGESTS = {
+    ("verify", "--product", "cross7", "--samples", "20"):
+        "1710b91bf3cc4caf8b5af819dc77880f7b1a557b73611150c7540dd4eaf4a9c5",
+    ("verify", "--product", "table", "--k", "3", "--samples", "20"):
+        "3b9b49a0006210aeba3567eb534c835c391354daed33da32b1d49d42fd1b9282",
+    ("verify", "--product", "padded", "--n", "8", "--samples", "20"):
+        "cdf22a96f38338f39ef0f981f327658e416019d558738324984b97fd1d969cbc",
+    ("classify", "--max-k", "6"):
+        "1bfbca6cd1fb06b53925c7dd1bb31c39eeeb6c59b59b9abd3b54752a307129ac",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(GOLDEN_DIGESTS), ids=lambda argv: "-".join(argv[:4])
+)
+def test_report_digest(capsys, argv):
+    status, out = run(capsys, *argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[argv]

@@ -9,11 +9,14 @@ Core claims:
     - det_product is the formal first-row cofactor expansion: perpendicular
       to every row, equal to cross3 for n = 3, zero on repeated rows
     - parsing/formatting of comma-separated rational literals round-trips
-    - the integer kernels behind exact dot/cross3/cross7/padded_cross equal a
-      term-by-term Fraction evaluation, and double mode is bit-identical to
-      the plain float formulas
+    - the integer kernels behind exact dot/cross3/cross7/padded_cross and
+      exact scaled/+/- equal a term-by-term Fraction evaluation, and double
+      mode is bit-identical to the plain float formulas
+    - a vector's cleared integers are kept on it and equal a fresh clearing
 """
 
+import math
+import operator
 import random
 import struct
 from fractions import Fraction
@@ -24,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from crossn.vecalg import (
     DOUBLE,
     Vector,
+    _cleared,
     cross3,
     cross7,
     det_product,
@@ -469,3 +473,53 @@ class TestIntegerKernels:
             Vector.unit(3, 1, mode="bogus")
         with pytest.raises(ValueError, match="unknown scalar mode"):
             Vector.zeros(3, "bogus")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_exact_sums_and_scaling_match_fraction_arithmetic(self, data):
+        x, y = _draw_pair(data, (1, 3, 7, 16), wide_rationals())
+        c = data.draw(st.one_of(wide_rationals(), st.integers(-50, 50)))
+        u, v = Vector.exact(x), Vector.exact(y)
+        cases = (
+            (u + v, tuple(a + b for a, b in zip(x, y))),
+            (u - v, tuple(a - b for a, b in zip(x, y))),
+            (u.scaled(c), tuple(c * a for a in x)),
+        )
+        for out, expected in cases:
+            assert out.mode == "exact"
+            assert all(type(t) is Fraction for t in out.coords)
+            assert out.coords == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_double_sums_and_scaling_are_bit_identical(self, data):
+        x, y = _draw_pair(data, (1, 3, 7, 16), FINITE_FLOATS)
+        c = data.draw(FINITE_FLOATS)
+        u, v = Vector.double(x), Vector.double(y)
+        assert _bits((u + v).coords) == _bits(map(operator.add, x, y))
+        assert _bits((u - v).coords) == _bits(map(operator.sub, x, y))
+        assert _bits(u.scaled(c).coords) == _bits(c * a for a in x)
+
+    def test_double_sums_keep_negative_zero(self):
+        u = Vector.double([-0.0, -0.0, 0.0])
+        v = Vector.double([-0.0, 0.0, -0.0])
+        assert _bits((u + v).coords) == _bits([-0.0, 0.0, 0.0])
+        assert _bits((u - v).coords) == _bits([0.0, -0.0, 0.0])
+        assert _bits(u.scaled(-1.0).coords) == _bits([0.0, 0.0, -0.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_kept_cleared_integers_equal_a_fresh_clearing(self, data):
+        x, _ = _draw_pair(data, (1, 3, 7, 16), wide_rationals())
+        v = Vector.exact(x)
+        d = math.lcm(*(c.denominator for c in x))
+        fresh = (tuple(int(c * d) for c in x), d)
+        first = _cleared(v)
+        assert first == fresh
+        assert _cleared(v) is first
+        # The kept value is invisible to equality, hashing and repr.
+        twin = Vector.exact(x)
+        assert v == twin and hash(v) == hash(twin) and repr(v) == repr(twin)
+        # Results of the integer kernels clear like fresh vectors too.
+        for out in (v + v, v.scaled(Fraction(-3, 7)), v - v):
+            assert _cleared(out) == _cleared(Vector.exact(out.coords))

@@ -12,9 +12,11 @@ Core claims:
     - deliberately broken products are refuted, never excused
     - closure/orthonormality checking accepts generated tables and rejects
       tampered ones
+    - one checker call evaluates each product of two basis vectors once
     - reports serialize to the documented JSON shape
 """
 
+import dataclasses
 import json
 from array import array
 
@@ -192,6 +194,27 @@ class TestIdentities:
         report = check_identity(cross7_product(), "identity-1.5", samples=10)
         assert report.verdict == HOLDS
         assert report.samples_run == 7 * 6 + 10
+
+    @pytest.mark.parametrize(
+        "product", [cross7_product(), product_for_table(build_table(3))],
+        ids=["cross7", "table-k3"],
+    )
+    def test_basis_products_are_evaluated_once(self, product):
+        n = product.dim
+        calls = {}
+
+        def counting(u, v):
+            key = (u.coords, v.coords)
+            if all(sorted(x.coords) == [0] * (n - 1) + [1] for x in (u, v)):
+                calls[key] = calls.get(key, 0) + 1
+            return product.evaluate(u, v)
+
+        counted = dataclasses.replace(product, evaluate=counting)
+        report = check_identity(counted, "identity-1.1", samples=1)
+        assert report.verdict == HOLDS
+        assert report.samples_run == n**3 + 1
+        assert len(calls) == n * n
+        assert set(calls.values()) == {1}
 
 
 # == closure and orthonormality ==============================================
