@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser(
         "classify", help="which dimensions admit a cross product"
     )
-    p_cls.add_argument("--max-k", type=int, default=3, help="largest level (1..6)")
+    levels = f"largest level (1..{verify.MAX_CLASSIFY_LEVEL})"
+    p_cls.add_argument("--max-k", type=int, default=3, help=levels)
 
     return parser
 
@@ -160,14 +161,11 @@ def _product_under_test(args, parser) -> verify.ProductUnderTest:
         return verify.product_for_table(symbolic.build_table(args.k))
     if args.k is not None:
         _fail_usage(parser, "--k applies only to --product table")
-    if name == "cross3":
-        if args.n not in (None, 3):
-            _fail_usage(parser, "cross3 has dimension 3")
-        return verify.cross3_product()
-    if name == "cross7":
-        if args.n not in (None, 7):
-            _fail_usage(parser, "cross7 has dimension 7")
-        return verify.cross7_product()
+    if name in ("cross3", "cross7"):
+        product = getattr(verify, f"{name}_product")()
+        if args.n not in (None, product.dim):
+            _fail_usage(parser, f"{name} has dimension {product.dim}")
+        return product
     if args.n is None:
         _fail_usage(parser, "verify --product padded needs --n")
     if args.n < 3:
@@ -200,18 +198,11 @@ def cmd_verify(args, parser) -> Tuple[str, int]:
 
     reports: List[verify.AxiomReport] = []
     for axiom in axioms:
-        if axiom == "perpendicular":
-            reports.append(
-                verify.check_perpendicular(product, args.samples, args.seed)
-            )
-        elif axiom == "pythagorean":
-            reports.append(
-                verify.check_pythagorean(product, args.samples, args.seed)
-            )
-        elif axiom == "bilinear":
-            reports.append(verify.check_bilinear(product, args.samples, args.seed))
-        else:
+        if axiom == "identities":
             reports.extend(verify.check_identities(product, args.samples, args.seed))
+        else:
+            check = getattr(verify, f"check_{axiom}")
+            reports.append(check(product, args.samples, args.seed))
 
     status = 0
     for report in reports:
@@ -250,22 +241,24 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
         _fail_usage(parser, f"--k must be <= {symbolic.MAX_LEVEL}")
     table = symbolic.build_table(args.k)
     u, v = symbolic.counterexample_vectors(args.k)
-    uv = table_product(table, u, v)
-    duu, dvv, duv = dot(u, u), dot(v, v), dot(u, v)
+    product = verify.product_for_table(table)
+    witness = verify.check_case(product, verify.AXIOM_PYTHAGOREAN, u, v)
+    duu, dvv = dot(u, u), dot(v, v)
     lhs = duu * dvv
-    rhs = dot(uv, uv) + duv**2
+    # The test's rhs is (u.u)(v.v), printed as LHS; with no witness both agree.
+    rhs = lhs if witness is None else witness.lhs
     lines = [
         f"k = {args.k}, n = {table.n}",
         f"u = {format_vector(u)}   ({_support_str(u)})",
         f"v = {format_vector(v)}   ({_support_str(v)})",
-        f"u x v = {format_vector(uv)}",
-        f"u . v = {duv}",
+        f"u x v = {format_vector(table_product(table, u, v))}",
+        f"u . v = {dot(u, v)}",
         f"u . u = {duu}",
         f"v . v = {dvv}",
         f"LHS (u.u)(v.v) = {lhs}",
         f"RHS (u x v).(u x v) + (u.v)^2 = {rhs}",
     ]
-    if lhs != rhs:
+    if witness is not None:
         lines.append(f"verdict: Pythagorean fails ({lhs} != {rhs})")
         return "\n".join(lines), 0
     lines.append("verdict: Pythagorean holds (unexpected)")
@@ -275,8 +268,8 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
 def cmd_classify(args, parser) -> Tuple[str, int]:
     if args.mode == DOUBLE:
         _fail_usage(parser, "classification runs in exact mode only")
-    if not 1 <= args.max_k <= 6:
-        _fail_usage(parser, "--max-k must be in 1..6")
+    if not 1 <= args.max_k <= verify.MAX_CLASSIFY_LEVEL:
+        _fail_usage(parser, f"--max-k must be in 1..{verify.MAX_CLASSIFY_LEVEL}")
     verdicts = verify.classify_dimensions(args.max_k)
     lines = []
     status = 0
@@ -290,8 +283,7 @@ def cmd_classify(args, parser) -> Tuple[str, int]:
             )
         else:
             lines.append(f"k={d.k} n={d.n}: pythagorean {d.report.verdict}")
-        expected_refuted = d.k >= 3
-        if d.pythagorean_refuted != expected_refuted:
+        if d.report.verdict != d.expected:
             status = 1
     lines.append(
         "a cross product exists only in dimensions 0, 1, 3 and 7; "

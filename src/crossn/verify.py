@@ -8,6 +8,11 @@ with a concrete witness.  All decisions are exact: no tolerance ever enters a
 verdict, and a refuted report's witness can be replayed from scratch to
 reproduce the violation.
 
+Every axiom is one registry entry ``(cases, test)``: ``cases`` yields the
+staged argument tuples and ``test`` turns one of them into a witness or
+None.  One driver runs the cases of any axiom, and ``replay`` reruns the
+same test on a witness's operands.
+
 The random sampler draws coordinates with numerators in -9..9 and
 denominators from {1, 2, 3}, so corpora are small, exact and reproducible
 from the recorded seed.
@@ -16,13 +21,16 @@ from the recorded seed.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Union
 
 from . import symbolic
 from .vecalg import Scalar, Vector, dot, cross3, cross7, padded_cross, table_product
+from .vecalg import _cleared
 
 HOLDS = "holds-on-all-samples"
 REFUTED = "refuted"
@@ -31,19 +39,13 @@ AXIOM_PERPENDICULAR = "perpendicular"
 AXIOM_PYTHAGOREAN = "pythagorean"
 AXIOM_BILINEAR = "bilinear"
 AXIOM_CLOSURE = "closure"
-IDENTITY_AXIOMS = (
-    "identity-1.1",
-    "identity-1.2",
-    "identity-1.3",
-    "identity-1.4",
-    "identity-1.5",
-    "identity-1.6",
-)
 
 DEFAULT_SEED = 1063
 DEFAULT_SAMPLES = 200
 # classify_dimensions runs more random pairs per level than one verify call.
 CLASSIFY_SAMPLES = 1000
+# Highest table level classify_dimensions (and ``crossn classify``) accepts.
+MAX_CLASSIFY_LEVEL = 6
 
 NUMERATOR_RANGE = (-9, 9)
 DENOMINATORS = (1, 2, 3)
@@ -157,45 +159,217 @@ def random_vector(rng: random.Random, n: int) -> Vector:
     return Vector([random_rational(rng) for _ in range(n)])
 
 
+@lru_cache(maxsize=None)
 def _units(n: int) -> tuple:
-    """e_1..e_n for the exhaustive basis stages; empty above BASIS_PAIR_LIMIT."""
-    if n > BASIS_PAIR_LIMIT:
-        return ()
+    """e_1..e_n, kept per n so that checker calls share the vectors and the
+    cleared integers they keep."""
     return tuple(Vector.unit(n, i) for i in range(1, n + 1))
 
 
-def _basis_pairs(units: tuple):
-    for u in units:
-        for v in units:
-            yield u, v
-
-
 def _memoised(product: ProductUnderTest, units: tuple) -> ProductUnderTest:
-    """``product`` evaluating the product of two of ``units`` at most once.
+    """``product`` evaluating the product of two signed ``units`` at most once.
 
     Only up to BASIS_TRIPLE_LIMIT, where the basis stages reuse pairs.  The
-    memo is keyed by ``id``; ``live`` holds the units, so while the memo
-    exists no other vector can have one of their ids.
+    memo is keyed by ``id``; ``signed`` holds the units and their negatives,
+    so while the memo exists no other vector can have one of their ids.  A
+    product equal to one of them is returned as that shared object, so a
+    nested product such as ``p(w, p(v, u))`` hits the memo too.  ``signed``
+    is keyed by cleared integers, which hash far faster than Fractions and
+    which the exact kernels reuse.
     """
     if product.dim > BASIS_TRIPLE_LIMIT:
         return product
     evaluate = product.evaluate
-    live = {id(e): e for e in units}
+    signed = {_cleared(e): e for e in units + tuple(e.scaled(-1) for e in units)}
+    live = {id(e) for e in signed.values()}
     memo = {}
 
     def cached(u: Vector, v: Vector) -> Vector:
-        if id(u) not in live or id(v) not in live:
-            return evaluate(u, v)
         key = (id(u), id(v))
         out = memo.get(key)
         if out is None:
-            out = memo[key] = evaluate(u, v)
+            out = evaluate(u, v)
+            if id(u) in live and id(v) in live:
+                out = memo[key] = signed.get(_cleared(out), out)
         return out
 
     return dataclasses.replace(product, evaluate=cached)
 
 
-def _report(product: ProductUnderTest, axiom: str, witness, count: int, seed: int):
+# --- case stages: each yields the argument tuples of one axiom's test ------
+
+
+def _unit_cases(product, units, samples, rng, arity=2, distinct=False):
+    """Every ``arity``-tuple of ``units``, then ``samples`` random tuples.
+
+    Basis triples run only up to BASIS_TRIPLE_LIMIT.  With ``distinct`` both
+    stages take distinct basis vectors only (the orthonormal identities,
+    whose hypothesis is an orthogonal unit tuple); otherwise the random
+    stage draws rational vectors.
+    """
+    n = product.dim
+    basis = units if arity == 2 or n <= BASIS_TRIPLE_LIMIT else ()
+    for args in itertools.product(basis, repeat=arity):
+        if not distinct or len(set(map(id, args))) == arity:
+            yield args
+    for _ in range(samples):
+        if distinct:
+            picks = rng.sample(range(1, n + 1), arity)
+            yield tuple(units[i - 1] if units else Vector.unit(n, i) for i in picks)
+        else:
+            yield tuple(random_vector(rng, n) for _ in range(arity))
+
+
+def _pythagorean_cases(product, units, samples, rng):
+    """Known falsifying pairs first, so refutations carry the canonical
+    witness instead of a sampler artifact; then the pair stages."""
+    n = product.dim
+    if product.kind == "table" and product.level is not None and n >= 15:
+        yield symbolic.counterexample_vectors(product.level)
+    if product.kind == "padded" and n >= 4:
+        yield Vector.unit(n, 4), Vector.unit(n, 1)
+    yield from _unit_cases(product, units, samples, rng)
+
+
+_FIXED_SCALARS = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
+
+
+def _bilinear_operands(p, coeffs, u, u2, v, v2):
+    """(a u + b u2, c v + d v2) and the four-term expansion of their product."""
+    a, b, c, d = coeffs
+    expansion = (
+        p(u, v).scaled(a * c)
+        + p(u, v2).scaled(a * d)
+        + p(u2, v).scaled(b * c)
+        + p(u2, v2).scaled(b * d)
+    )
+    return u.scaled(a) + u2.scaled(b), v.scaled(c) + v2.scaled(d), expansion
+
+
+def _bilinear_cases(product, units, samples, rng):
+    """Basis pairs (u, v) with the next basis vectors as (u2, v2) and fixed
+    scalars, then random vectors and scalars, as combined operands plus
+    expansion."""
+    n = product.dim
+    shifted = tuple(zip(units, units[1:] + units[:1]))
+    for (u, u2), (v, v2) in itertools.product(shifted, repeat=2):
+        yield _bilinear_operands(product.evaluate, _FIXED_SCALARS, u, u2, v, v2)
+    for _ in range(samples):
+        coeffs = tuple(random_rational(rng) for _ in range(4))
+        vectors = [random_vector(rng, n) for _ in range(4)]
+        yield _bilinear_operands(product.evaluate, coeffs, *vectors)
+
+
+def _closure_cases(product, units, samples, rng):
+    """Every ordered basis pair, at any dimension; no random stage."""
+    return itertools.product(_units(product.dim), repeat=2)
+
+
+# --- tests: test(p, u, v, w) returns a Witness, or None if the case holds --
+# ``w`` is the third vector of the triple identities and the expansion for
+# bilinear; the other tests ignore it.
+
+
+def _perpendicular(p, u, v, w=None):
+    out = p(u, v)
+    du, dv = dot(u, out), dot(v, out)
+    return Witness(u, v, lhs=du, rhs=dv) if du != 0 or dv != 0 else None
+
+
+def _sides(sides):
+    """The test that refutes a case whose two ``sides(p, u, v, w)`` differ."""
+
+    def test(p, u, v, w=None):
+        lhs, rhs = sides(p, u, v, w)
+        return None if lhs == rhs else Witness(u, v, w, lhs, rhs)
+
+    return test
+
+
+def _pythagorean_sides(p, u, v, w):
+    out = p(u, v)
+    return dot(out, out) + dot(u, v) ** 2, dot(u, u) * dot(v, v)
+
+
+def _bilinear(p, u, v, expansion):
+    lhs = p(u, v)
+    return None if lhs == expansion else Witness(u, v, lhs=lhs, rhs=expansion)
+
+
+def _closure(p, u, v, w=None):
+    """u x v has squared norm 1 (0 when u == v) and coordinates in {0, 1, -1},
+    so it is exactly one signed unit coordinate (zero on the diagonal)."""
+    out = p(u, v)
+    norm2 = dot(out, out)
+    expected = Fraction(0) if u == v else Fraction(1)
+    if norm2 == expected and all(c in (0, 1, -1) for c in out.coords):
+        return None
+    return Witness(u, v, out, norm2, expected)
+
+
+# Each axiom is (cases, test).  Identities 1.1, 1.4 and 1.6 take triples;
+# the orthonormal ones, 1.5 and 1.6, only distinct basis vectors.
+_AXIOMS = {
+    AXIOM_PERPENDICULAR: (_unit_cases, _perpendicular),
+    AXIOM_PYTHAGOREAN: (_pythagorean_cases, _sides(_pythagorean_sides)),
+    AXIOM_BILINEAR: (_bilinear_cases, _bilinear),
+    AXIOM_CLOSURE: (_closure_cases, _closure),
+    "identity-1.1": (
+        partial(_unit_cases, arity=3),
+        _sides(lambda p, u, v, w: (dot(w, p(u, v)), -dot(u, p(w, v)))),
+    ),
+    "identity-1.2": (_unit_cases, _sides(lambda p, u, v, w: (p(u, v), -p(v, u)))),
+    "identity-1.3": (
+        _unit_cases,
+        _sides(
+            lambda p, u, v, w: (
+                p(v, p(v, u)),
+                v.scaled(dot(v, u)) - u.scaled(dot(v, v)),
+            )
+        ),
+    ),
+    # w x (v x u) + (w x v) x u = 2(w.u)v - (w.v)u - (u.v)w; verified by
+    # direct expansion in R^3 and exhaustively on both genuine products.
+    "identity-1.4": (
+        partial(_unit_cases, arity=3),
+        _sides(
+            lambda p, u, v, w: (
+                p(w, p(v, u)),
+                -p(p(w, v), u)
+                - w.scaled(dot(u, v))
+                - u.scaled(dot(w, v))
+                + v.scaled(2 * dot(w, u)),
+            )
+        ),
+    ),
+    "identity-1.5": (
+        partial(_unit_cases, distinct=True),
+        _sides(lambda p, u, v, w: (p(u, p(u, v)), -v)),
+    ),
+    "identity-1.6": (
+        partial(_unit_cases, arity=3, distinct=True),
+        _sides(lambda p, u, v, w: (p(w, p(v, u)), -p(p(w, v), u))),
+    ),
+}
+
+# The six product/dot identities, in order 1.1 .. 1.6.
+IDENTITY_AXIOMS = tuple(a for a in _AXIOMS if a.startswith("identity-"))
+
+
+def _check(product: ProductUnderTest, axiom: str, samples: int, seed: int):
+    """Run ``axiom``'s cases through ``product`` up to the first witness."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    cases, test = _AXIOMS[axiom]
+    # The exhaustive basis stages run only up to BASIS_PAIR_LIMIT.
+    units = _units(product.dim) if product.dim <= BASIS_PAIR_LIMIT else ()
+    memoised = _memoised(product, units)
+    count, witness = 0, None
+    for args in cases(memoised, units, samples, random.Random(seed)):
+        count += 1
+        witness = test(memoised.evaluate, *args)
+        if witness is not None:
+            break
     return AxiomReport(
         product=product.name,
         dim=product.dim,
@@ -207,12 +381,17 @@ def _report(product: ProductUnderTest, axiom: str, witness, count: int, seed: in
     )
 
 
-def _known_pythagorean_witnesses(product: ProductUnderTest):
-    """Deterministic falsifying pairs, injected before any sampling."""
-    if product.kind == "table" and product.level is not None and product.dim >= 15:
-        yield symbolic.counterexample_vectors(product.level)
-    if product.kind == "padded" and product.dim >= 4:
-        yield Vector.unit(product.dim, 4), Vector.unit(product.dim, 1)
+def check_case(
+    product: ProductUnderTest, axiom: str, u: Vector, v: Vector, w=None
+) -> Optional[Witness]:
+    """One case of ``axiom`` on ``product``: its witness, or None if it holds.
+
+    ``w`` is the third vector of the triple identities and the expected
+    four-term expansion for bilinear; the other axioms ignore it.
+    """
+    if axiom not in _AXIOMS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    return _AXIOMS[axiom][1](product.evaluate, u, v, w)
 
 
 def check_perpendicular(
@@ -221,32 +400,7 @@ def check_perpendicular(
     seed: int = DEFAULT_SEED,
 ) -> AxiomReport:
     """u.(u x v) == 0 == v.(u x v), over basis pairs then random pairs."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    count = 0
-
-    def pairs():
-        yield from _basis_pairs(_units(product.dim))
-        for _ in range(samples):
-            yield random_vector(rng, product.dim), random_vector(rng, product.dim)
-
-    for u, v in pairs():
-        count += 1
-        w = product.evaluate(u, v)
-        du = dot(u, w)
-        dv = dot(v, w)
-        if du != 0 or dv != 0:
-            witness = Witness(u=u, v=v, lhs=du, rhs=dv)
-            return _report(product, AXIOM_PERPENDICULAR, witness, count, seed)
-    return _report(product, AXIOM_PERPENDICULAR, None, count, seed)
-
-
-def _pythagorean_sides(product: ProductUnderTest, u: Vector, v: Vector):
-    w = product.evaluate(u, v)
-    lhs = dot(w, w) + dot(u, v) ** 2
-    rhs = dot(u, u) * dot(v, v)
-    return lhs, rhs
+    return _check(product, AXIOM_PERPENDICULAR, samples, seed)
 
 
 def check_pythagorean(
@@ -259,36 +413,7 @@ def check_pythagorean(
     Known falsifying pairs for the product family are tried first, so
     refutations carry the canonical witness instead of a sampler artifact.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    count = 0
-
-    def pairs():
-        yield from _known_pythagorean_witnesses(product)
-        yield from _basis_pairs(_units(product.dim))
-        for _ in range(samples):
-            yield random_vector(rng, product.dim), random_vector(rng, product.dim)
-
-    for u, v in pairs():
-        count += 1
-        lhs, rhs = _pythagorean_sides(product, u, v)
-        if lhs != rhs:
-            witness = Witness(u=u, v=v, lhs=lhs, rhs=rhs)
-            return _report(product, AXIOM_PYTHAGOREAN, witness, count, seed)
-    return _report(product, AXIOM_PYTHAGOREAN, None, count, seed)
-
-
-def _bilinear_sides(product, coeffs, u, u2, v, v2):
-    a, b, c, d = coeffs
-    lhs = product.evaluate(u.scaled(a) + u2.scaled(b), v.scaled(c) + v2.scaled(d))
-    rhs = (
-        product.evaluate(u, v).scaled(a * c)
-        + product.evaluate(u, v2).scaled(a * d)
-        + product.evaluate(u2, v).scaled(b * c)
-        + product.evaluate(u2, v2).scaled(b * d)
-    )
-    return lhs, rhs
+    return _check(product, AXIOM_PYTHAGOREAN, samples, seed)
 
 
 def check_bilinear(
@@ -304,122 +429,7 @@ def check_bilinear(
     operands as the witness pair, so replaying means evaluating the product
     on them and comparing with the recorded expansion value.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    n = product.dim
-    count = 0
-    fixed = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
-    units = _units(n)
-    evaluated = _memoised(product, units)
-
-    def cases():
-        for i, u in enumerate(units):
-            for j, v in enumerate(units):
-                yield fixed, u, units[(i + 1) % n], v, units[(j + 1) % n]
-        for _ in range(samples):
-            coeffs = tuple(random_rational(rng) for _ in range(4))
-            yield (
-                coeffs,
-                random_vector(rng, n),
-                random_vector(rng, n),
-                random_vector(rng, n),
-                random_vector(rng, n),
-            )
-
-    for coeffs, u, u2, v, v2 in cases():
-        count += 1
-        lhs, rhs = _bilinear_sides(evaluated, coeffs, u, u2, v, v2)
-        if lhs != rhs:
-            a, b, c, d = coeffs
-            witness = Witness(
-                u=u.scaled(a) + u2.scaled(b),
-                v=v.scaled(c) + v2.scaled(d),
-                lhs=lhs,
-                rhs=rhs,
-            )
-            return _report(product, AXIOM_BILINEAR, witness, count, seed)
-    return _report(product, AXIOM_BILINEAR, None, count, seed)
-
-
-# --- the six product/dot identities ----------------------------------------
-
-
-def _identity_sides(axiom: str, product, u, v, w):
-    """Both sides of one identity; w is ignored by the two-vector ones."""
-    p = product.evaluate
-    if axiom == "identity-1.1":
-        return dot(w, p(u, v)), -dot(u, p(w, v))
-    if axiom == "identity-1.2":
-        return p(u, v), -p(v, u)
-    if axiom == "identity-1.3":
-        return p(v, p(v, u)), v.scaled(dot(v, u)) - u.scaled(dot(v, v))
-    if axiom == "identity-1.4":
-        # w x (v x u) + (w x v) x u = 2(w.u)v - (w.v)u - (u.v)w; verified by
-        # direct expansion in R^3 and exhaustively on both genuine products.
-        return (
-            p(w, p(v, u)),
-            -p(p(w, v), u)
-            - w.scaled(dot(u, v))
-            - u.scaled(dot(w, v))
-            + v.scaled(2 * dot(w, u)),
-        )
-    if axiom == "identity-1.5":
-        return p(u, p(u, v)), -v
-    if axiom == "identity-1.6":
-        return p(w, p(v, u)), -p(p(w, v), u)
-    raise ValueError(f"unknown identity {axiom!r}")
-
-
-_TRIPLE_IDENTITIES = ("identity-1.1", "identity-1.4", "identity-1.6")
-_ORTHONORMAL_IDENTITIES = ("identity-1.5", "identity-1.6")
-
-
-def _identity_cases(axiom: str, units: tuple, n: int, samples: int, rng: random.Random):
-    """Deterministic basis inputs from ``units``, then seeded random inputs.
-
-    The orthonormal identities only quantify over distinct standard basis
-    vectors (their hypothesis is an orthogonal unit tuple); the others range
-    over arbitrary vectors.
-    """
-    triple = axiom in _TRIPLE_IDENTITIES
-    orthonormal = axiom in _ORTHONORMAL_IDENTITIES
-
-    if orthonormal:
-        if triple:
-            if n <= BASIS_TRIPLE_LIMIT:
-                for u, v in _basis_pairs(units):
-                    for w in units:
-                        if u is not v and v is not w and u is not w:
-                            yield u, v, w
-            for _ in range(samples):
-                i, j, m = rng.sample(range(1, n + 1), 3)
-                yield Vector.unit(n, i), Vector.unit(n, j), Vector.unit(n, m)
-        else:
-            for u, v in _basis_pairs(units):
-                if u is not v:
-                    yield u, v, None
-            for _ in range(samples):
-                i, j = rng.sample(range(1, n + 1), 2)
-                yield Vector.unit(n, i), Vector.unit(n, j), None
-        return
-
-    if triple:
-        if n <= BASIS_TRIPLE_LIMIT:
-            for u, v in _basis_pairs(units):
-                for w in units:
-                    yield u, v, w
-        for _ in range(samples):
-            yield (
-                random_vector(rng, n),
-                random_vector(rng, n),
-                random_vector(rng, n),
-            )
-    else:
-        for u, v in _basis_pairs(units):
-            yield u, v, None
-        for _ in range(samples):
-            yield random_vector(rng, n), random_vector(rng, n), None
+    return _check(product, AXIOM_BILINEAR, samples, seed)
 
 
 def check_identity(
@@ -430,19 +440,7 @@ def check_identity(
 ) -> AxiomReport:
     if axiom not in IDENTITY_AXIOMS:
         raise ValueError(f"unknown identity {axiom!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    count = 0
-    units = _units(product.dim)
-    evaluated = _memoised(product, units)
-    for u, v, w in _identity_cases(axiom, units, product.dim, samples, rng):
-        count += 1
-        lhs, rhs = _identity_sides(axiom, evaluated, u, v, w)
-        if lhs != rhs:
-            witness = Witness(u=u, v=v, w=w, lhs=lhs, rhs=rhs)
-            return _report(product, axiom, witness, count, seed)
-    return _report(product, axiom, None, count, seed)
+    return _check(product, axiom, samples, seed)
 
 
 def check_identities(
@@ -459,26 +457,9 @@ def orthonormal_closure_check(table: symbolic.MulTable) -> AxiomReport:
 
     Every off-diagonal product of basis vectors must be exactly one signed
     unit coordinate (squared norm 1) and the diagonal must vanish; one case
-    per ordered basis pair.
+    per ordered basis pair.  There is no random stage, so the seed is 0.
     """
-    product = product_for_table(table)
-    n = table.n
-    count = 0
-    for i in range(1, n + 1):
-        ei = Vector.unit(n, i)
-        for j in range(1, n + 1):
-            count += 1
-            w = product.evaluate(ei, Vector.unit(n, j))
-            norm2 = dot(w, w)
-            expected = Fraction(0) if i == j else Fraction(1)
-            support_ok = sum(1 for c in w.coords if c) == (0 if i == j else 1)
-            units_ok = all(c in (0, 1, -1) for c in w.coords)
-            if norm2 != expected or not support_ok or not units_ok:
-                witness = Witness(
-                    u=ei, v=Vector.unit(n, j), w=w, lhs=norm2, rhs=expected
-                )
-                return _report(product, AXIOM_CLOSURE, witness, count, 0)
-    return _report(product, AXIOM_CLOSURE, None, count, 0)
+    return _check(product_for_table(table), AXIOM_CLOSURE, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -488,6 +469,7 @@ class DimensionVerdict:
     pythagorean_refuted: bool
     witness: Optional[Witness]
     report: AxiomReport
+    expected: Optional[str]
 
 
 def classify_dimensions(
@@ -501,8 +483,8 @@ def classify_dimensions(
     never depend on sampler luck; the surviving levels are exactly k = 1 and
     k = 2 (dimensions 3 and 7).
     """
-    if not 1 <= max_k <= 6:
-        raise ValueError(f"max_k must be in 1..6, got {max_k}")
+    if not 1 <= max_k <= MAX_CLASSIFY_LEVEL:
+        raise ValueError(f"max_k must be in 1..{MAX_CLASSIFY_LEVEL}, got {max_k}")
     verdicts = []
     for k in range(1, max_k + 1):
         table = symbolic.build_table(k)
@@ -515,39 +497,23 @@ def classify_dimensions(
                 pythagorean_refuted=report.refuted,
                 witness=report.witness,
                 report=report,
+                expected=expected_verdict(product, AXIOM_PYTHAGOREAN),
             )
         )
     return verdicts
 
 
 def replay(report: AxiomReport, product: ProductUnderTest) -> bool:
-    """Re-derive a refuted report's violation from its witness alone.
+    """Rerun the axiom's test on a refuted report's witness operands.
 
-    Returns True when the freshly computed quantities match the recorded
-    ones exactly and still violate the axiom.  Raises on reports that carry
-    no witness.
+    Returns True when the test yields exactly the recorded witness, which
+    then still violates the axiom.  Raises on reports that carry no witness.
     """
-    if report.witness is None:
-        raise ValueError("only refuted reports carry a witness to replay")
     w = report.witness
-    axiom = report.axiom
-    if axiom == AXIOM_PERPENDICULAR:
-        out = product.evaluate(w.u, w.v)
-        du, dv = dot(w.u, out), dot(w.v, out)
-        return (du, dv) == (w.lhs, w.rhs) and (du != 0 or dv != 0)
-    if axiom == AXIOM_PYTHAGOREAN:
-        lhs, rhs = _pythagorean_sides(product, w.u, w.v)
-        return (lhs, rhs) == (w.lhs, w.rhs) and lhs != rhs
-    if axiom == AXIOM_BILINEAR:
-        lhs = product.evaluate(w.u, w.v)
-        return lhs == w.lhs and lhs != w.rhs
-    if axiom in IDENTITY_AXIOMS:
-        lhs, rhs = _identity_sides(axiom, product, w.u, w.v, w.w)
-        return (lhs, rhs) == (w.lhs, w.rhs) and lhs != rhs
-    if axiom == AXIOM_CLOSURE:
-        out = product.evaluate(w.u, w.v)
-        return dot(out, out) == w.lhs and w.lhs != w.rhs
-    raise ValueError(f"cannot replay axiom {report.axiom!r}")
+    if w is None:
+        raise ValueError("only refuted reports carry a witness to replay")
+    third = w.rhs if report.axiom == AXIOM_BILINEAR else w.w
+    return check_case(product, report.axiom, w.u, w.v, third) == w
 
 
 def expected_verdict(product: ProductUnderTest, axiom: str) -> Optional[str]:
@@ -562,25 +528,15 @@ def expected_verdict(product: ProductUnderTest, axiom: str) -> Optional[str]:
     on padded products beyond dimension 3) the checkers report empirical
     verdicts with no expectation attached.
     """
-    if axiom == AXIOM_BILINEAR:
+    if axiom == AXIOM_BILINEAR or product.kind in ("cross3", "cross7"):
         return HOLDS
-    if product.kind in ("cross3", "cross7"):
-        return HOLDS
+    # Each family is genuine at its low end and keeps one axiom throughout.
     if product.kind == "table":
-        level = product.level or 0
-        if axiom == AXIOM_PYTHAGOREAN:
-            return HOLDS if level <= 2 else REFUTED
-        if axiom == AXIOM_CLOSURE:
-            return HOLDS
-        if level <= 2:
-            return HOLDS
+        genuine, kept = (product.level or 0) <= 2, AXIOM_CLOSURE
+    elif product.kind == "padded":
+        genuine, kept = product.dim == 3, AXIOM_PERPENDICULAR
+    else:
         return None
-    if product.kind == "padded":
-        if axiom == AXIOM_PERPENDICULAR:
-            return HOLDS
-        if axiom == AXIOM_PYTHAGOREAN:
-            return HOLDS if product.dim == 3 else REFUTED
-        if product.dim == 3:
-            return HOLDS
-        return None
-    return None
+    if genuine or axiom == kept:
+        return HOLDS
+    return REFUTED if axiom == AXIOM_PYTHAGOREAN else None

@@ -521,8 +521,9 @@ class TestOutputFile:
 
 # == golden reports ==========================================================
 
-# sha256 of stdout at the default seed.  The checkers' fast paths (kept
-# cleared integers, basis products evaluated once) must not move a byte.
+# sha256 of stdout at the default seed.  Neither the checkers' fast paths
+# (kept cleared integers, basis products evaluated once) nor the shared
+# checker driver may move a byte.
 GOLDEN_DIGESTS = {
     ("verify", "--product", "cross7", "--samples", "20"):
         "1710b91bf3cc4caf8b5af819dc77880f7b1a557b73611150c7540dd4eaf4a9c5",
@@ -532,12 +533,22 @@ GOLDEN_DIGESTS = {
         "cdf22a96f38338f39ef0f981f327658e416019d558738324984b97fd1d969cbc",
     ("classify", "--max-k", "6"):
         "1bfbca6cd1fb06b53925c7dd1bb31c39eeeb6c59b59b9abd3b54752a307129ac",
+    ("counterexample", "--k", "3"):
+        "e5c6b49108998975becfe2d8ea5355dc9ff021e0a825b5d54d0c326133ac3dea",
+    ("verify", "--product", "table", "--k", "2", "--samples", "20"):
+        "58d0fdca0ed0e80070b84d7269cff44cbd34306df0e90bb3f823ceec5c86bc8a",
+    ("verify", "--product", "padded", "--n", "4", "--samples", "20"):
+        "3a17c4d6553d192fcf3aab43fb8dd9170aab85ae40cdecd18f9fbf39b578ce1e",
 }
 
+# An id is the argv's first four words, or all of them once those are taken.
+DIGEST_IDS = []
+for _argv in GOLDEN_DIGESTS:
+    _short = "-".join(_argv[:4])
+    DIGEST_IDS.append("-".join(_argv) if _short in DIGEST_IDS else _short)
 
-@pytest.mark.parametrize(
-    "argv", list(GOLDEN_DIGESTS), ids=lambda argv: "-".join(argv[:4])
-)
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=DIGEST_IDS)
 def test_report_digest(capsys, argv):
     status, out = run(capsys, *argv)
     assert status == 0

@@ -7,8 +7,9 @@ Core claims:
       canonical witness pair, injected ahead of any sampling
     - level >= 3 table products lose the Pythagorean identity with the
       e3+e10 / e6-e15 witness
-    - refuted reports carry witnesses that replay exactly; verdicts are
-      deterministic functions of (product, samples, seed)
+    - refuted reports carry witnesses that replay exactly, and a tampered
+      witness does not; verdicts are deterministic functions of
+      (product, samples, seed)
     - deliberately broken products are refuted, never excused
     - closure/orthonormality checking accepts generated tables and rejects
       tampered ones
@@ -31,6 +32,7 @@ from crossn.verify import (
     REFUTED,
     ProductUnderTest,
     check_bilinear,
+    check_case,
     check_identities,
     check_identity,
     check_perpendicular,
@@ -58,6 +60,14 @@ def broken_quadratic() -> ProductUnderTest:
     return ProductUnderTest(
         "quadratic", 3, "custom", lambda u, v: cross3(u, v).scaled(dot(u, u))
     )
+
+
+def _zeroed_cell_table() -> MulTable:
+    table = build_table(2)
+    rows = [array("b", r) for r in table.signs]
+    rows[1][2] = 0
+    rows[2][1] = 0
+    return MulTable(table.k, table.n, tuple(rows))
 
 
 # == perpendicular ===========================================================
@@ -140,14 +150,15 @@ class TestBilinear:
         assert check_bilinear(padded_product(5), samples=20).verdict == HOLDS
 
     def test_zero_scalars_collapse_both_sides(self):
-        from crossn.verify import _bilinear_sides
+        from crossn.verify import _bilinear, _bilinear_operands
         from fractions import Fraction
 
         p = cross3_product()
         zero4 = tuple(Fraction(0) for _ in range(4))
         u = Vector.exact([1, 2, 3])
-        lhs, rhs = _bilinear_sides(p, zero4, u, u, u, u)
-        assert lhs.is_zero() and rhs.is_zero()
+        left, right, expansion = _bilinear_operands(p.evaluate, zero4, u, u, u, u)
+        assert p.evaluate(left, right).is_zero() and expansion.is_zero()
+        assert _bilinear(p.evaluate, left, right, expansion) is None
 
     def test_nonlinear_product_refuted_and_replays(self):
         p = broken_quadratic()
@@ -167,13 +178,15 @@ class TestIdentities:
 
     def test_contraction_identity_value(self):
         # v x (v x u) = (v.u) v - (v.v) u at v = e1, u = e2: both sides -e2
-        from crossn.verify import _identity_sides
+        from crossn.verify import _AXIOMS
 
         p = cross3_product()
         v, u = Vector.unit(3, 1), Vector.unit(3, 2)
-        lhs, rhs = _identity_sides("identity-1.3", p, u, v, None)
-        # note _identity_sides takes (u, v, w) with the roles used for 1.3
-        assert lhs == rhs
+        _, test = _AXIOMS["identity-1.3"]
+        # a test takes (u, v, w) with the roles used for 1.3 and returns
+        # no witness when both sides agree
+        assert test(p.evaluate, u, v) is None
+        assert check_case(p, "identity-1.3", u, v) is None
 
     def test_level3_table_empirical_verdicts(self):
         p = product_for_table(build_table(3))
@@ -200,21 +213,32 @@ class TestIdentities:
         ids=["cross7", "table-k3"],
     )
     def test_basis_products_are_evaluated_once(self, product):
+        # 1.4 and 1.6 multiply a basis product (a signed unit vector) again,
+        # so the memo must return the shared signed unit for it.
         n = product.dim
-        calls = {}
+        basis_cases = {
+            "identity-1.1": n**3,
+            "identity-1.4": n**3,
+            "identity-1.6": n * (n - 1) * (n - 2),
+        }
+        for axiom, cases in basis_cases.items():
+            calls = {}
 
-        def counting(u, v):
-            key = (u.coords, v.coords)
-            if all(sorted(x.coords) == [0] * (n - 1) + [1] for x in (u, v)):
-                calls[key] = calls.get(key, 0) + 1
-            return product.evaluate(u, v)
+            def counting(u, v):
+                key = (u.coords, v.coords)
+                if all(sorted(x.coords) == [0] * (n - 1) + [1] for x in (u, v)):
+                    calls[key] = calls.get(key, 0) + 1
+                return product.evaluate(u, v)
 
-        counted = dataclasses.replace(product, evaluate=counting)
-        report = check_identity(counted, "identity-1.1", samples=1)
-        assert report.verdict == HOLDS
-        assert report.samples_run == n**3 + 1
-        assert len(calls) == n * n
-        assert set(calls.values()) == {1}
+            counted = dataclasses.replace(product, evaluate=counting)
+            report = check_identity(counted, axiom, samples=1)
+            assert set(calls.values()) == {1}, axiom
+            # identities 1.4 and 1.6 fail on the level-3 table
+            if report.verdict == HOLDS:
+                assert report.samples_run == cases + 1
+                assert len(calls) == n * n
+            else:
+                assert product.dim == 15 and axiom != "identity-1.1"
 
 
 # == closure and orthonormality ==============================================
@@ -230,11 +254,7 @@ class TestClosure:
             assert report.samples_run == table.n**2
 
     def test_zeroed_cell_refuted(self):
-        table = build_table(2)
-        rows = [array("b", r) for r in table.signs]
-        rows[1][2] = 0
-        rows[2][1] = 0
-        bad = MulTable(table.k, table.n, tuple(rows))
+        bad = _zeroed_cell_table()
         report = orthonormal_closure_check(bad)
         assert report.refuted
         assert report.witness.u == Vector.unit(7, 1)
@@ -337,6 +357,60 @@ class TestReports:
         report = check_pythagorean(cross3_product(), samples=5)
         with pytest.raises(ValueError):
             replay(report, cross3_product())
+
+
+def _refuted(axiom):
+    """(report, product) pairs whose reports are refuted for ``axiom``."""
+    if axiom == "perpendicular":
+        p = broken_second_projection()
+        return [(check_perpendicular(p, samples=5), p)]
+    if axiom == "bilinear":
+        p = broken_quadratic()
+        return [(check_bilinear(p, samples=10), p)]
+    if axiom == "identities":
+        p = broken_quadratic()
+        return [(r, p) for r in check_identities(p, samples=10) if r.refuted]
+    if axiom == "pythagorean":
+        p = padded_product(4)
+        return [(check_pythagorean(p, samples=5), p)]
+    table = _zeroed_cell_table()
+    return [(orthonormal_closure_check(table), product_for_table(table))]
+
+
+def _changed(x):
+    if isinstance(x, Vector):
+        return x + Vector.unit(x.dim, 1)
+    return x + 1
+
+
+class TestReplay:
+    @pytest.mark.parametrize(
+        "axiom", ["perpendicular", "bilinear", "identities", "pythagorean", "closure"]
+    )
+    def test_tampered_witness_fails_replay(self, axiom):
+        cases = _refuted(axiom)
+        assert cases
+        for report, product in cases:
+            assert report.refuted
+            assert replay(report, product), report.axiom
+            w = report.witness
+            others = [Vector.unit(w.u.dim, i) for i in range(1, w.u.dim + 1)]
+            other = next(e for e in others if e != w.u and e != w.v)
+            for tampered in (
+                dataclasses.replace(w, lhs=_changed(w.lhs)),
+                dataclasses.replace(w, u=other),
+            ):
+                bad = dataclasses.replace(report, witness=tampered)
+                assert not replay(bad, product), (report.axiom, tampered)
+
+    def test_witness_equals_a_single_case(self):
+        p = padded_product(4)
+        report = check_pythagorean(p, samples=5)
+        w = report.witness
+        assert check_case(p, "pythagorean", w.u, w.v) == w
+        assert check_case(p, "pythagorean", w.v, w.v) is None
+        with pytest.raises(ValueError):
+            check_case(p, "identity-9.9", w.u, w.v)
 
 
 class TestExpectedVerdicts:
