@@ -157,34 +157,30 @@ class TestCrossCommand:
             == 2
         )
 
-    def test_cross7_needs_n_7(self, capsys):
-        assert (
-            run_usage_error(
-                capsys,
-                "cross", "--n", "3", "--u", "1,0,0", "--v", "0,1,0",
-                "--product", "cross7",
-            )
-            == 2
-        )
-
-    def test_table_needs_table_dimension(self, capsys):
-        assert (
-            run_usage_error(
-                capsys,
-                "cross", "--n", "5", "--u", "1,0,0,0,0", "--v", "0,1,0,0,0",
-                "--product", "table",
-            )
-            == 2
-        )
-
-    def test_det_needs_n_3(self, capsys):
-        assert (
-            run_usage_error(
-                capsys,
-                "cross", "--n", "4", "--u", "1,0,0,0", "--v", "0,1,0,0",
-                "--product", "det",
-            )
-            == 2
+    @pytest.mark.parametrize(
+        "n, product, message",
+        [
+            (5, "cross3", "cross3 needs --n 3"),
+            (3, "cross7", "cross7 needs --n 7"),
+            (2, "padded", "padded needs --n >= 3"),
+            (5, "table", "--n 5 is not a table dimension (need n = 2^(k+1)-1)"),
+            (
+                4,
+                "det",
+                "the determinant product takes n-1 vectors in dimension n; "
+                "with two inputs it is only defined for --n 3",
+            ),
+        ],
+        ids=["cross3", "cross7", "padded", "table", "det"],
+    )
+    def test_product_needs_its_dimension(self, capsys, n, product, message):
+        vector = ",".join(["1"] + ["0"] * (n - 1))
+        with pytest.raises(SystemExit) as exc:
+            main(["cross", "--n", str(n), "--u", vector, "--v", vector,
+                  "--product", product])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            f"crossn: error: {message}"
         )
 
     def test_malformed_vector(self, capsys):
@@ -278,8 +274,16 @@ class TestVerifyCommand:
             (("table", "--k", "2", "--n", "99"), "the level-2 table has dimension 7"),
             (("cross7", "--k", "9"), "--k applies only to --product table"),
             (("padded", "--n", "8", "--k", "4"), "--k applies only to --product table"),
+            (("table",), "verify --product table needs --k"),
+            (("padded",), "verify --product padded needs --n"),
+            (("padded", "--n", "2"), "padded needs --n >= 3"),
+            (("table", "--k", "11"), "--k must be in 1..10"),
+            (("cross3", "--n", "7"), "cross3 has dimension 3"),
         ],
-        ids=["table-n", "cross7-k", "padded-k"],
+        ids=[
+            "table-n", "cross7-k", "padded-k", "table-no-k", "padded-no-n",
+            "padded-n2", "table-k11", "cross3-n",
+        ],
     )
     def test_contradictory_flags(self, capsys, flags, message):
         with pytest.raises(SystemExit) as exc:
