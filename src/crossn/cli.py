@@ -18,10 +18,27 @@ import tempfile
 from typing import List, Optional, Tuple
 
 from . import symbolic, verify
-from .vecalg import DOUBLE, EXACT, Vector, cross3, cross7, det_product, dot, \
-    format_vector, padded_cross, parse_vector, table_product
+from .vecalg import DOUBLE, EXACT, Vector, det_product, dot, format_vector, \
+    parse_vector, table_product
 
-PRODUCTS = ("table", "cross3", "cross7", "padded", "det")
+# Each product family's dimension test, cross's usage text when the test
+# fails, constructor (from the dimension) and fixed dimension, if it has one.
+# The constructors look verify's factories up at call time, so that a patch
+# of them (as in bench/tracing.py) takes effect.  Table dimensions are
+# n = 2^(k+1)-1 for levels 1..MAX_LEVEL.
+FAMILIES = {
+    "table": (
+        lambda n: 3 <= n < 2 << symbolic.MAX_LEVEL and not n & (n + 1),
+        "--n {n} is not a table dimension (need n = 2^(k+1)-1)",
+        lambda n: verify.product_for_table(symbolic.build_table(n.bit_length() - 1)),
+        None,
+    ),
+    "cross3": (lambda n: n == 3, "cross3 needs --n 3", lambda n: verify.cross3_product(), 3),
+    "cross7": (lambda n: n == 7, "cross7 needs --n 7", lambda n: verify.cross7_product(), 7),
+    "padded": (
+        lambda n: n >= 3, "padded needs --n >= 3", lambda n: verify.padded_product(n), None
+    ),
+}
 FORMATS = ("md", "csv", "json")
 AXIOM_CHOICES = ("perpendicular", "pythagorean", "bilinear", "identities", "all")
 
@@ -59,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross.add_argument("--n", type=int, required=True, help="dimension")
     p_cross.add_argument("--u", required=True, help="first vector, e.g. 1,-2/3,0")
     p_cross.add_argument("--v", required=True, help="second vector")
-    p_cross.add_argument("--product", choices=PRODUCTS, required=True)
+    p_cross.add_argument("--product", choices=[*FAMILIES, "det"], required=True)
 
     p_verify = sub.add_parser("verify", help="check axioms against a product")
-    p_verify.add_argument("--product", choices=PRODUCTS[:4], required=True)
+    p_verify.add_argument("--product", choices=list(FAMILIES), required=True)
     p_verify.add_argument("--n", type=int, help="dimension (padded/cross3/cross7)")
     p_verify.add_argument("--k", type=int, help="table level (table product)")
     p_verify.add_argument("--samples", type=int, default=verify.DEFAULT_SAMPLES)
@@ -82,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser(
         "classify", help="which dimensions admit a cross product"
     )
-    levels = f"largest level (1..{verify.MAX_CLASSIFY_LEVEL})"
+    levels = f"largest level (1..{symbolic.MAX_LEVEL})"
     p_cls.add_argument("--max-k", type=int, default=3, help=levels)
 
     return parser
@@ -90,11 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fail_usage(parser: argparse.ArgumentParser, message: str) -> None:
     parser.error(message)  # exits with status 2
-
-
-def _table_level_for_dim(n: int) -> Optional[int]:
-    k = (n + 1).bit_length() - 2
-    return k if k >= 1 and (1 << (k + 1)) - 1 == n else None
 
 
 def cmd_table(args, parser) -> Tuple[str, int]:
@@ -116,61 +128,41 @@ def cmd_cross(args, parser) -> Tuple[str, int]:
         _fail_usage(parser, str(exc))
     if u.dim != args.n or v.dim != args.n:
         _fail_usage(parser, f"--u/--v must have dimension {args.n}")
-    name = args.product
-    if name == "cross3":
-        if args.n != 3:
-            _fail_usage(parser, "cross3 needs --n 3")
-        out = cross3(u, v)
-    elif name == "cross7":
-        if args.n != 7:
-            _fail_usage(parser, "cross7 needs --n 7")
-        out = cross7(u, v)
-    elif name == "padded":
-        if args.n < 3:
-            _fail_usage(parser, "padded needs --n >= 3")
-        out = padded_cross(u, v)
-    elif name == "det":
+    if args.product == "det":
         if args.n != 3:
             _fail_usage(
                 parser,
                 "the determinant product takes n-1 vectors in dimension n; "
                 "with two inputs it is only defined for --n 3",
             )
-        out = det_product([u, v])
-    else:  # table
-        k = _table_level_for_dim(args.n)
-        if k is None or k > symbolic.MAX_LEVEL:
-            _fail_usage(
-                parser,
-                f"--n {args.n} is not a table dimension (need n = 2^(k+1)-1)",
-            )
-        out = table_product(symbolic.build_table(k), u, v)
-    return format_vector(out), 0
+        return format_vector(det_product([u, v])), 0
+    fits, usage, make, _ = FAMILIES[args.product]
+    if not fits(args.n):
+        _fail_usage(parser, usage.format(n=args.n))
+    return format_vector(make(args.n).evaluate(u, v)), 0
 
 
 def _product_under_test(args, parser) -> verify.ProductUnderTest:
-    name = args.product
+    name, n = args.product, args.n
+    fits, usage, make, dim = FAMILIES[name]
+    label = name
     if name == "table":
         if args.k is None:
             _fail_usage(parser, "verify --product table needs --k")
         if not 1 <= args.k <= symbolic.MAX_LEVEL:
             _fail_usage(parser, f"--k must be in 1..{symbolic.MAX_LEVEL}")
-        n = (1 << (args.k + 1)) - 1
-        if args.n not in (None, n):
-            _fail_usage(parser, f"the level-{args.k} table has dimension {n}")
-        return verify.product_for_table(symbolic.build_table(args.k))
-    if args.k is not None:
+        label, dim = f"the level-{args.k} table", (1 << (args.k + 1)) - 1
+    elif args.k is not None:
         _fail_usage(parser, "--k applies only to --product table")
-    if name in ("cross3", "cross7"):
-        product = getattr(verify, f"{name}_product")()
-        if args.n not in (None, product.dim):
-            _fail_usage(parser, f"{name} has dimension {product.dim}")
-        return product
-    if args.n is None:
-        _fail_usage(parser, "verify --product padded needs --n")
-    if args.n < 3:
-        _fail_usage(parser, "padded needs --n >= 3")
-    return verify.padded_product(args.n)
+    if dim is not None:
+        if n not in (None, dim):
+            _fail_usage(parser, f"{label} has dimension {dim}")
+        return make(dim)
+    if n is None:
+        _fail_usage(parser, f"verify --product {name} needs --n")
+    if not fits(n):
+        _fail_usage(parser, usage.format(n=n))
+    return make(n)
 
 
 def _parse_axioms(raw: str, parser) -> List[str]:
@@ -240,8 +232,8 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
     if args.k > symbolic.MAX_LEVEL:
         _fail_usage(parser, f"--k must be <= {symbolic.MAX_LEVEL}")
     table = symbolic.build_table(args.k)
-    u, v = symbolic.counterexample_vectors(args.k)
     product = verify.product_for_table(table)
+    u, v = product.known
     witness = verify.check_case(product, verify.AXIOM_PYTHAGOREAN, u, v)
     duu, dvv = dot(u, u), dot(v, v)
     lhs = duu * dvv
@@ -268,8 +260,8 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
 def cmd_classify(args, parser) -> Tuple[str, int]:
     if args.mode == DOUBLE:
         _fail_usage(parser, "classification runs in exact mode only")
-    if not 1 <= args.max_k <= verify.MAX_CLASSIFY_LEVEL:
-        _fail_usage(parser, f"--max-k must be in 1..{verify.MAX_CLASSIFY_LEVEL}")
+    if not 1 <= args.max_k <= symbolic.MAX_LEVEL:
+        _fail_usage(parser, f"--max-k must be in 1..{symbolic.MAX_LEVEL}")
     verdicts = verify.classify_dimensions(args.max_k)
     lines = []
     status = 0

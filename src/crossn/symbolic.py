@@ -155,12 +155,6 @@ class SignedBasis:
     def zero(cls) -> "SignedBasis":
         return cls(0, 0)
 
-    @classmethod
-    def from_value(cls, value: int) -> "SignedBasis":
-        if value == 0:
-            return cls.zero()
-        return cls(1 if value > 0 else -1, abs(value))
-
     @property
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -168,11 +162,6 @@ class SignedBasis:
     @property
     def value(self) -> int:
         return self.sign * self.index
-
-    def negated(self) -> "SignedBasis":
-        if self.is_zero:
-            return self
-        return SignedBasis(-self.sign, self.index)
 
     def __str__(self) -> str:
         if self.is_zero:

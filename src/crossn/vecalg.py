@@ -26,10 +26,6 @@ Scalar = Union[Fraction, float]
 EXACT = "exact"
 DOUBLE = "double"
 
-# Absolute tolerance for user-facing double-mode comparisons. Exact-mode
-# comparisons never use a tolerance.
-FLOAT_EQ_TOL = 1e-9
-
 # Cofactor expansion of the determinant product is O(2^n) even with shared
 # minors; this is a desk-scale tool.
 MAX_DET_DIM = 12
@@ -205,13 +201,6 @@ class Vector:
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coords)
-
-    def approx_eq(self, other: "Vector", tol: float = FLOAT_EQ_TOL) -> bool:
-        """Absolute-tolerance comparison for double mode; exact otherwise."""
-        _check_pair(self, other, "approx_eq")
-        if self.mode == EXACT:
-            return self.coords == other.coords
-        return all(abs(a - b) <= tol for a, b in zip(self.coords, other.coords))
 
 
 def _check_pair(u: Vector, v: Vector, op: str) -> None:

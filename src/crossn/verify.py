@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from . import symbolic
 from .vecalg import Scalar, Vector, dot, cross3, cross7, padded_cross, table_product
@@ -44,8 +44,6 @@ DEFAULT_SEED = 1063
 DEFAULT_SAMPLES = 200
 # classify_dimensions runs more random pairs per level than one verify call.
 CLASSIFY_SAMPLES = 1000
-# Highest table level classify_dimensions (and ``crossn classify``) accepts.
-MAX_CLASSIFY_LEVEL = 6
 
 NUMERATOR_RANGE = (-9, 9)
 DENOMINATORS = (1, 2, 3)
@@ -61,36 +59,54 @@ Side = Union[Scalar, Vector]
 
 @dataclass(frozen=True)
 class ProductUnderTest:
-    """A bilinear-product evaluator plus the metadata the checkers need."""
+    """A bilinear-product evaluator plus what the theory says of it.
+
+    ``known`` is a pair on which the Pythagorean identity fails, if one is
+    known.  ``kept`` names the axioms the product satisfies; it is None for a
+    custom product, about which the theory makes no claim.
+    """
 
     name: str
     dim: int
-    kind: str  # "cross3" | "cross7" | "table" | "padded" | "custom"
     evaluate: Callable[[Vector, Vector], Vector]
-    level: Optional[int] = None  # table level when kind == "table"
+    known: Optional[Tuple[Vector, Vector]] = None
+    kept: Optional[Tuple[str, ...]] = None
+
+
+def _family(name, dim, evaluate, known=None, kept=None) -> ProductUnderTest:
+    """A product family member; with no known witness it keeps every axiom."""
+    return ProductUnderTest(name, dim, evaluate, known, kept if known else tuple(_AXIOMS))
 
 
 def cross3_product() -> ProductUnderTest:
-    return ProductUnderTest("cross3", 3, "cross3", cross3)
+    return _family("cross3", 3, cross3)
 
 
 def cross7_product() -> ProductUnderTest:
-    return ProductUnderTest("cross7", 7, "cross7", cross7)
+    return _family("cross7", 7, cross7)
 
 
 def padded_product(n: int) -> ProductUnderTest:
     if n < 3:
         raise ValueError(f"padded product needs dim >= 3, got {n}")
-    return ProductUnderTest(f"padded-{n}", n, "padded", padded_cross)
+    known = (Vector.unit(n, 4), Vector.unit(n, 1)) if n >= 4 else None
+    # The R^3 triple product gives perpendicular, 1.1 and 1.2.
+    kept = (AXIOM_PERPENDICULAR, "identity-1.1", "identity-1.2")
+    return _family(f"padded-{n}", n, padded_cross, known, kept)
 
 
 def product_for_table(table: symbolic.MulTable) -> ProductUnderTest:
-    return ProductUnderTest(
-        name=f"table-k{table.k}",
-        dim=table.n,
-        kind="table",
-        evaluate=lambda u, v: table_product(table, u, v),
-        level=table.k,
+    known = symbolic.counterexample_vectors(table.k) if table.k >= 3 else None
+    # Every cell is a signed unit (closure); Cayley–Dickson adjointness
+    # ⟨xy, z⟩ = ⟨y, x̄z⟩ gives perpendicular and 1.1, and antisymmetry gives
+    # 1.2 (Schafer 1966, ch. III).
+    kept = (AXIOM_CLOSURE, AXIOM_PERPENDICULAR, "identity-1.1", "identity-1.2")
+    return _family(
+        f"table-k{table.k}",
+        table.n,
+        lambda u, v: table_product(table, u, v),
+        known,
+        kept,
     )
 
 
@@ -221,13 +237,10 @@ def _unit_cases(product, units, samples, rng, arity=2, distinct=False):
 
 
 def _pythagorean_cases(product, units, samples, rng):
-    """Known falsifying pairs first, so refutations carry the canonical
+    """The known falsifying pair first, so refutations carry the canonical
     witness instead of a sampler artifact; then the pair stages."""
-    n = product.dim
-    if product.kind == "table" and product.level is not None and n >= 15:
-        yield symbolic.counterexample_vectors(product.level)
-    if product.kind == "padded" and n >= 4:
-        yield Vector.unit(n, 4), Vector.unit(n, 1)
+    if product.known:
+        yield product.known
     yield from _unit_cases(product, units, samples, rng)
 
 
@@ -410,8 +423,8 @@ def check_pythagorean(
 ) -> AxiomReport:
     """(u x v).(u x v) + (u.v)^2 == (u.u)(v.v).
 
-    Known falsifying pairs for the product family are tried first, so
-    refutations carry the canonical witness instead of a sampler artifact.
+    The product's known falsifying pair is tried first, so refutations
+    carry the canonical witness instead of a sampler artifact.
     """
     return _check(product, AXIOM_PYTHAGOREAN, samples, seed)
 
@@ -483,8 +496,8 @@ def classify_dimensions(
     never depend on sampler luck; the surviving levels are exactly k = 1 and
     k = 2 (dimensions 3 and 7).
     """
-    if not 1 <= max_k <= MAX_CLASSIFY_LEVEL:
-        raise ValueError(f"max_k must be in 1..{MAX_CLASSIFY_LEVEL}, got {max_k}")
+    if not 1 <= max_k <= symbolic.MAX_LEVEL:
+        raise ValueError(f"max_k must be in 1..{symbolic.MAX_LEVEL}, got {max_k}")
     verdicts = []
     for k in range(1, max_k + 1):
         table = symbolic.build_table(k)
@@ -519,24 +532,15 @@ def replay(report: AxiomReport, product: ProductUnderTest) -> bool:
 def expected_verdict(product: ProductUnderTest, axiom: str) -> Optional[str]:
     """The verdict the theory predicts, or None where it makes no claim.
 
-    True cross products (dims 3 and 7) satisfy everything.  Table products
-    are bilinear by construction in every dimension; their Pythagorean
-    identity survives only through level 2.  The padded product keeps the
-    perpendicular and bilinear axioms in all dimensions but loses the
-    Pythagorean identity from dimension 4 on.  For the remaining
-    combinations (perpendicular/identities on level >= 3 tables, identities
-    on padded products beyond dimension 3) the checkers report empirical
-    verdicts with no expectation attached.
+    Every product here is bilinear, and each keeps the axioms in ``kept``.
+    A family product that does not keep the Pythagorean identity has a known
+    witness against it.  The other axioms it does not keep get no
+    expectation: the sampled stages can miss their witnesses (for 1.5 on
+    tables from level 3 they do), and an expected refutation would then
+    flip the exit code.
     """
-    if axiom == AXIOM_BILINEAR or product.kind in ("cross3", "cross7"):
+    if axiom == AXIOM_BILINEAR or axiom in (product.kept or ()):
         return HOLDS
-    # Each family is genuine at its low end and keeps one axiom throughout.
-    if product.kind == "table":
-        genuine, kept = (product.level or 0) <= 2, AXIOM_CLOSURE
-    elif product.kind == "padded":
-        genuine, kept = product.dim == 3, AXIOM_PERPENDICULAR
-    else:
-        return None
-    if genuine or axiom == kept:
-        return HOLDS
-    return REFUTED if axiom == AXIOM_PYTHAGOREAN else None
+    if axiom == AXIOM_PYTHAGOREAN and product.kept is not None:
+        return REFUTED
+    return None

@@ -172,7 +172,7 @@ def test_c08_cardinality_and_table_structure():
                     assert cell.is_zero
                 else:
                     assert cell.index == i ^ j
-                    assert table.entry(j, i) == cell.negated()
+                    assert table.entry(j, i).value == -cell.value
     for k in range(1, 6):
         small, big = tables[k], tables[k + 1]
         for i in range(1, small.n + 1):

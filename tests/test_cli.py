@@ -402,7 +402,7 @@ class TestClassifyCommand:
 
     def test_max_k_bounds(self, capsys):
         assert run_usage_error(capsys, "classify", "--max-k", "0") == 2
-        assert run_usage_error(capsys, "classify", "--max-k", "7") == 2
+        assert run_usage_error(capsys, "classify", "--max-k", "11") == 2
 
 
 # == output plumbing =========================================================

@@ -102,12 +102,6 @@ class TestVectorBasics:
         with pytest.raises(AttributeError):
             v.coords = (Fraction(2),)
 
-    def test_approx_eq_double_tolerance(self):
-        a = Vector.double([1.0, 2.0])
-        b = Vector.double([1.0 + 1e-12, 2.0])
-        assert a.approx_eq(b)
-        assert not a.approx_eq(Vector.double([1.0001, 2.0]))
-
 
 class TestParseFormat:
     def test_parse_exact_round_trip(self):
@@ -223,9 +217,7 @@ class TestCross7:
     def test_double_mode_evaluation(self):
         u = Vector.double([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         v = Vector.double([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        assert cross7(u, v).approx_eq(
-            Vector.double([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        )
+        assert cross7(u, v) == Vector.double([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 # == padded product ==========================================================
@@ -341,7 +333,7 @@ class TestTableProduct:
         table = build_table(1)
         u = Vector.double([1.0, 0.0, 0.0])
         v = Vector.double([0.0, 0.5, 0.0])
-        assert table_product(table, u, v).approx_eq(Vector.double([0.0, 0.0, 0.5]))
+        assert table_product(table, u, v) == Vector.double([0.0, 0.0, 0.5])
 
     @settings(max_examples=30, deadline=None)
     @given(vectors(7), vectors(7), vectors(7), rationals())

@@ -50,7 +50,7 @@ from crossn.verify import (
 
 def broken_second_projection() -> ProductUnderTest:
     # "product" that just returns v: fails perpendicularity immediately
-    return ProductUnderTest("broken", 3, "custom", lambda u, v: v)
+    return ProductUnderTest("broken", 3, lambda u, v: v)
 
 
 def broken_quadratic() -> ProductUnderTest:
@@ -58,7 +58,7 @@ def broken_quadratic() -> ProductUnderTest:
     from crossn.vecalg import cross3
 
     return ProductUnderTest(
-        "quadratic", 3, "custom", lambda u, v: cross3(u, v).scaled(dot(u, u))
+        "quadratic", 3, lambda u, v: cross3(u, v).scaled(dot(u, u))
     )
 
 
@@ -289,7 +289,7 @@ class TestClassifyDimensions:
         with pytest.raises(ValueError):
             classify_dimensions(0)
         with pytest.raises(ValueError):
-            classify_dimensions(7)
+            classify_dimensions(11)
 
     def test_single_level(self):
         (verdict,) = classify_dimensions(1, samples=30)
@@ -424,15 +424,36 @@ class TestExpectedVerdicts:
         assert expected_verdict(p2, "pythagorean") == HOLDS
         assert expected_verdict(p3, "pythagorean") == REFUTED
         assert expected_verdict(p3, "bilinear") == HOLDS
-        assert expected_verdict(p3, "perpendicular") is None
+        assert expected_verdict(p3, "perpendicular") == HOLDS
+        assert expected_verdict(p3, "identity-1.1") == HOLDS
+        assert expected_verdict(p3, "identity-1.2") == HOLDS
         assert expected_verdict(p3, "identity-1.3") is None
 
     def test_padded_expectations(self):
         p4 = padded_product(4)
         assert expected_verdict(p4, "perpendicular") == HOLDS
         assert expected_verdict(p4, "pythagorean") == REFUTED
+        assert expected_verdict(p4, "identity-1.1") == HOLDS
+        assert expected_verdict(p4, "identity-1.2") == HOLDS
         assert expected_verdict(p4, "identity-1.5") is None
         assert expected_verdict(padded_product(3), "pythagorean") == HOLDS
+
+    def test_sign_row_certificates(self):
+        # On an antisymmetric table, perpendicular and identity 1.1 hold iff
+        # these O(n^2) sign conditions do: both sides are bilinear in every
+        # slot, so they agree on all vectors iff they agree on basis vectors.
+        def certificates(signs):
+            n = len(signs) - 1
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+            perpendicular = all(
+                signs[a][a ^ b] + signs[b][a ^ b] == 0 for a, b in pairs if a < b
+            )
+            identity_11 = all(signs[i][j] + signs[i ^ j][j] == 0 for i, j in pairs)
+            return perpendicular, identity_11
+
+        for k in range(1, 9):
+            assert certificates(build_table(k).signs) == (True, True)
+        assert certificates(_zeroed_cell_table().signs) == (False, False)
 
     def test_identity_axiom_names(self):
         assert IDENTITY_AXIOMS == (
