@@ -14,6 +14,8 @@ Core claims:
     - closure/orthonormality checking accepts generated tables and rejects
       tampered ones
     - one checker call evaluates each product of two basis vectors once
+    - the tables' sign rows certify perpendicular and identity 1.1, which
+      the table products are expected to keep
     - reports serialize to the documented JSON shape
 """
 
