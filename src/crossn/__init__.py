@@ -50,7 +50,6 @@ from .verify import (
     cross3_product,
     cross7_product,
     expected_verdict,
-    orthonormal_closure_check,
     padded_product,
     product_for_table,
     replay,
@@ -90,7 +89,6 @@ __all__ = [
     "format_vector",
     "normalize_product",
     "normalize_product_traced",
-    "orthonormal_closure_check",
     "padded_cross",
     "padded_product",
     "parse_vector",

@@ -105,13 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail_usage(parser: argparse.ArgumentParser, message: str) -> None:
-    parser.error(message)  # exits with status 2
-
-
 def cmd_table(args, parser) -> Tuple[str, int]:
     if not 1 <= args.k <= symbolic.MAX_LEVEL:
-        _fail_usage(parser, f"--k must be in 1..{symbolic.MAX_LEVEL}")
+        parser.error(f"--k must be in 1..{symbolic.MAX_LEVEL}")
     table = symbolic.build_table(args.k)
     if args.format == "md":
         return symbolic.table_to_markdown(table), 0
@@ -125,20 +121,19 @@ def cmd_cross(args, parser) -> Tuple[str, int]:
         u = parse_vector(args.u, args.mode)
         v = parse_vector(args.v, args.mode)
     except ValueError as exc:
-        _fail_usage(parser, str(exc))
+        parser.error(str(exc))
     if u.dim != args.n or v.dim != args.n:
-        _fail_usage(parser, f"--u/--v must have dimension {args.n}")
+        parser.error(f"--u/--v must have dimension {args.n}")
     if args.product == "det":
         if args.n != 3:
-            _fail_usage(
-                parser,
+            parser.error(
                 "the determinant product takes n-1 vectors in dimension n; "
                 "with two inputs it is only defined for --n 3",
             )
         return format_vector(det_product([u, v])), 0
     fits, usage, make, _ = FAMILIES[args.product]
     if not fits(args.n):
-        _fail_usage(parser, usage.format(n=args.n))
+        parser.error(usage.format(n=args.n))
     return format_vector(make(args.n).evaluate(u, v)), 0
 
 
@@ -148,43 +143,43 @@ def _product_under_test(args, parser) -> verify.ProductUnderTest:
     label = name
     if name == "table":
         if args.k is None:
-            _fail_usage(parser, "verify --product table needs --k")
+            parser.error("verify --product table needs --k")
         if not 1 <= args.k <= symbolic.MAX_LEVEL:
-            _fail_usage(parser, f"--k must be in 1..{symbolic.MAX_LEVEL}")
+            parser.error(f"--k must be in 1..{symbolic.MAX_LEVEL}")
         label, dim = f"the level-{args.k} table", (1 << (args.k + 1)) - 1
     elif args.k is not None:
-        _fail_usage(parser, "--k applies only to --product table")
+        parser.error("--k applies only to --product table")
     if dim is not None:
         if n not in (None, dim):
-            _fail_usage(parser, f"{label} has dimension {dim}")
+            parser.error(f"{label} has dimension {dim}")
         return make(dim)
     if n is None:
-        _fail_usage(parser, f"verify --product {name} needs --n")
+        parser.error(f"verify --product {name} needs --n")
     if not fits(n):
-        _fail_usage(parser, usage.format(n=n))
+        parser.error(usage.format(n=n))
     return make(n)
 
 
 def _parse_axioms(raw: str, parser) -> List[str]:
-    """Axiom names in first-seen order, each once; ``all`` means all four."""
+    """Axiom names in first-seen order, each once; ``all`` means the others."""
     tokens = [t.strip() for t in raw.split(",") if t.strip()]
     if not tokens:
-        _fail_usage(parser, "--axioms must name at least one axiom")
+        parser.error("--axioms must name at least one axiom")
     for t in tokens:
         if t not in AXIOM_CHOICES:
-            _fail_usage(
-                parser, f"unknown axiom {t!r} (choose from {', '.join(AXIOM_CHOICES)})"
+            parser.error(
+                f"unknown axiom {t!r} (choose from {', '.join(AXIOM_CHOICES)})"
             )
     if "all" in tokens:
-        return ["perpendicular", "pythagorean", "bilinear", "identities"]
+        return [a for a in AXIOM_CHOICES if a != "all"]
     return list(dict.fromkeys(tokens))
 
 
 def cmd_verify(args, parser) -> Tuple[str, int]:
     if args.mode == DOUBLE:
-        _fail_usage(parser, "verification runs in exact mode only")
+        parser.error("verification runs in exact mode only")
     if args.samples < 1:
-        _fail_usage(parser, "--samples must be >= 1")
+        parser.error("--samples must be >= 1")
     product = _product_under_test(args, parser)
     axioms = _parse_axioms(args.axioms, parser)
 
@@ -222,15 +217,14 @@ def _support_str(v: Vector) -> str:
 
 def cmd_counterexample(args, parser) -> Tuple[str, int]:
     if args.mode == DOUBLE:
-        _fail_usage(parser, "the counterexample is computed in exact mode only")
+        parser.error("the counterexample is computed in exact mode only")
     if args.k < 3:
-        _fail_usage(
-            parser,
+        parser.error(
             "the construction uses generator u3, so it needs --k >= 3 "
             "(levels 1 and 2 carry genuine cross products)",
         )
     if args.k > symbolic.MAX_LEVEL:
-        _fail_usage(parser, f"--k must be <= {symbolic.MAX_LEVEL}")
+        parser.error(f"--k must be <= {symbolic.MAX_LEVEL}")
     table = symbolic.build_table(args.k)
     product = verify.product_for_table(table)
     u, v = product.known
@@ -259,22 +253,22 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
 
 def cmd_classify(args, parser) -> Tuple[str, int]:
     if args.mode == DOUBLE:
-        _fail_usage(parser, "classification runs in exact mode only")
+        parser.error("classification runs in exact mode only")
     if not 1 <= args.max_k <= symbolic.MAX_LEVEL:
-        _fail_usage(parser, f"--max-k must be in 1..{symbolic.MAX_LEVEL}")
+        parser.error(f"--max-k must be in 1..{symbolic.MAX_LEVEL}")
     verdicts = verify.classify_dimensions(args.max_k)
     lines = []
     status = 0
     for d in verdicts:
-        if d.pythagorean_refuted:
-            w = d.witness
+        if d.report.refuted:
+            w = d.report.witness
             lines.append(
-                f"k={d.k} n={d.n}: pythagorean refuted  "
+                f"k={d.k} n={d.report.dim}: pythagorean refuted  "
                 f"witness u={_support_str(w.u)} v={_support_str(w.v)} "
                 f"(lhs {w.lhs}, rhs {w.rhs})"
             )
         else:
-            lines.append(f"k={d.k} n={d.n}: pythagorean {d.report.verdict}")
+            lines.append(f"k={d.k} n={d.report.dim}: pythagorean {d.report.verdict}")
         if d.report.verdict != d.expected:
             status = 1
     lines.append(
@@ -334,25 +328,18 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _fail_output(parser, path: str, exc: OSError) -> None:
-    _fail_usage(parser, f"cannot write --output {path}: {exc.strerror or exc}")
+    parser.error(f"cannot write --output {path}: {exc.strerror or exc}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "table": cmd_table,
-        "cross": cmd_cross,
-        "verify": cmd_verify,
-        "counterexample": cmd_counterexample,
-        "classify": cmd_classify,
-    }
     if args.output:
         try:
             _check_output_path(args.output)
         except OSError as exc:
             _fail_output(parser, args.output, exc)
-    text, status = handlers[args.command](args, parser)
+    text, status = globals()[f"cmd_{args.command}"](args, parser)
     if args.output:
         try:
             _write_output(args.output, text + "\n")

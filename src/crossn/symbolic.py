@@ -97,10 +97,6 @@ class BasisWord:
         """Binary encoding: generator b contributes 2**b."""
         return sum(1 << b for b in self.generators)
 
-    @property
-    def level(self) -> int:
-        return max(self.generators)
-
     def tree(self) -> Tree:
         """Canonical nesting: largest generator outermost."""
         gens = sorted(self.generators)

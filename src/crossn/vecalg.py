@@ -145,15 +145,6 @@ class Vector:
     def dim(self) -> int:
         return len(self.coords)
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
@@ -164,9 +155,6 @@ class Vector:
 
     def __repr__(self) -> str:
         return f"Vector([{', '.join(str(c) for c in self.coords)}], mode={self.mode!r})"
-
-    def __str__(self) -> str:
-        return format_vector(self)
 
     def __add__(self, other: "Vector") -> "Vector":
         _check_pair(self, other, "+")

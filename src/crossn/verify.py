@@ -38,7 +38,6 @@ REFUTED = "refuted"
 AXIOM_PERPENDICULAR = "perpendicular"
 AXIOM_PYTHAGOREAN = "pythagorean"
 AXIOM_BILINEAR = "bilinear"
-AXIOM_CLOSURE = "closure"
 
 DEFAULT_SEED = 1063
 DEFAULT_SAMPLES = 200
@@ -97,10 +96,9 @@ def padded_product(n: int) -> ProductUnderTest:
 
 def product_for_table(table: symbolic.MulTable) -> ProductUnderTest:
     known = symbolic.counterexample_vectors(table.k) if table.k >= 3 else None
-    # Every cell is a signed unit (closure); Cayley–Dickson adjointness
-    # ⟨xy, z⟩ = ⟨y, x̄z⟩ gives perpendicular and 1.1, and antisymmetry gives
-    # 1.2 (Schafer 1966, ch. III).
-    kept = (AXIOM_CLOSURE, AXIOM_PERPENDICULAR, "identity-1.1", "identity-1.2")
+    # Cayley–Dickson adjointness ⟨xy, z⟩ = ⟨y, x̄z⟩ gives perpendicular and
+    # 1.1, and antisymmetry gives 1.2 (Schafer 1966, ch. III).
+    kept = (AXIOM_PERPENDICULAR, "identity-1.1", "identity-1.2")
     return _family(
         f"table-k{table.k}",
         table.n,
@@ -273,11 +271,6 @@ def _bilinear_cases(product, units, samples, rng):
         yield _bilinear_operands(product.evaluate, coeffs, *vectors)
 
 
-def _closure_cases(product, units, samples, rng):
-    """Every ordered basis pair, at any dimension; no random stage."""
-    return itertools.product(_units(product.dim), repeat=2)
-
-
 # --- tests: test(p, u, v, w) returns a Witness, or None if the case holds --
 # ``w`` is the third vector of the triple identities and the expansion for
 # bilinear; the other tests ignore it.
@@ -309,24 +302,12 @@ def _bilinear(p, u, v, expansion):
     return None if lhs == expansion else Witness(u, v, lhs=lhs, rhs=expansion)
 
 
-def _closure(p, u, v, w=None):
-    """u x v has squared norm 1 (0 when u == v) and coordinates in {0, 1, -1},
-    so it is exactly one signed unit coordinate (zero on the diagonal)."""
-    out = p(u, v)
-    norm2 = dot(out, out)
-    expected = Fraction(0) if u == v else Fraction(1)
-    if norm2 == expected and all(c in (0, 1, -1) for c in out.coords):
-        return None
-    return Witness(u, v, out, norm2, expected)
-
-
 # Each axiom is (cases, test).  Identities 1.1, 1.4 and 1.6 take triples;
 # the orthonormal ones, 1.5 and 1.6, only distinct basis vectors.
 _AXIOMS = {
     AXIOM_PERPENDICULAR: (_unit_cases, _perpendicular),
     AXIOM_PYTHAGOREAN: (_pythagorean_cases, _sides(_pythagorean_sides)),
     AXIOM_BILINEAR: (_bilinear_cases, _bilinear),
-    AXIOM_CLOSURE: (_closure_cases, _closure),
     "identity-1.1": (
         partial(_unit_cases, arity=3),
         _sides(lambda p, u, v, w: (dot(w, p(u, v)), -dot(u, p(w, v)))),
@@ -465,22 +446,9 @@ def check_identities(
     return [check_identity(product, a, samples, seed) for a in IDENTITY_AXIOMS]
 
 
-def orthonormal_closure_check(table: symbolic.MulTable) -> AxiomReport:
-    """Closure and orthonormality of the realized basis under the table.
-
-    Every off-diagonal product of basis vectors must be exactly one signed
-    unit coordinate (squared norm 1) and the diagonal must vanish; one case
-    per ordered basis pair.  There is no random stage, so the seed is 0.
-    """
-    return _check(product_for_table(table), AXIOM_CLOSURE, 1, 0)
-
-
 @dataclass(frozen=True)
 class DimensionVerdict:
     k: int
-    n: int
-    pythagorean_refuted: bool
-    witness: Optional[Witness]
     report: AxiomReport
     expected: Optional[str]
 
@@ -500,15 +468,11 @@ def classify_dimensions(
         raise ValueError(f"max_k must be in 1..{symbolic.MAX_LEVEL}, got {max_k}")
     verdicts = []
     for k in range(1, max_k + 1):
-        table = symbolic.build_table(k)
-        product = product_for_table(table)
+        product = product_for_table(symbolic.build_table(k))
         report = check_pythagorean(product, samples=samples, seed=seed)
         verdicts.append(
             DimensionVerdict(
                 k=k,
-                n=table.n,
-                pythagorean_refuted=report.refuted,
-                witness=report.witness,
                 report=report,
                 expected=expected_verdict(product, AXIOM_PYTHAGOREAN),
             )

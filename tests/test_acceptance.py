@@ -111,19 +111,19 @@ def test_c04_level3_witness_quantities():
 def test_c05_classification_through_level_6():
     done = _timed(60.0)
     verdicts = classify_dimensions(6, samples=1000, seed=SEED)
-    assert [d.pythagorean_refuted for d in verdicts] == [
+    assert [d.report.refuted for d in verdicts] == [
         False, False, True, True, True, True,
     ]
-    assert [d.n for d in verdicts] == [3, 7, 15, 31, 63, 127]
+    assert [d.report.dim for d in verdicts] == [3, 7, 15, 31, 63, 127]
     for d in verdicts:
         product = product_for_table(build_table(d.k))
-        if d.pythagorean_refuted:
-            assert d.witness is not None
+        if d.report.refuted:
+            assert d.report.witness is not None
             assert replay(d.report, product)
             _EMITTED.append((product, d.report))
         else:
             # all 49/9 basis pairs plus the 1000 random samples ran
-            assert d.report.samples_run == d.n * d.n + 1000
+            assert d.report.samples_run == d.report.dim**2 + 1000
     done("C5 classification k=1..6 (holds, holds, then refuted with witness)")
 
 

@@ -7,12 +7,14 @@ Core claims:
       match expectations
     - counterexample prints the exact failing quantities (4 vs 0)
     - classify lists the verdict per level and the surviving dimensions
-    - exit codes: 0 ok, 1 verdict mismatch, 2 usage errors
+    - exit codes: 0 ok, 1 verdict mismatch (verify, classify and
+      counterexample), 2 usage errors with their exact text
     - exact-mode output never contains decimal approximations
     - identical invocations are byte-identical, and the reports of a fixed
       set of commands keep their recorded sha256
 """
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -22,9 +24,10 @@ from pathlib import Path
 
 import pytest
 
-from crossn import cli
+from crossn import cli, verify
 from crossn.cli import main
 from crossn.symbolic import build_table, table_from_json, table_to_markdown
+from crossn.vecalg import Vector
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -268,30 +271,72 @@ class TestVerifyCommand:
     def test_padded_requires_n(self, capsys):
         assert run_usage_error(capsys, "verify", "--product", "padded") == 2
 
+    # A usage error prints its exact text as the last line on stderr.
     @pytest.mark.parametrize(
-        "flags, message",
+        "argv, message",
         [
-            (("table", "--k", "2", "--n", "99"), "the level-2 table has dimension 7"),
-            (("cross7", "--k", "9"), "--k applies only to --product table"),
-            (("padded", "--n", "8", "--k", "4"), "--k applies only to --product table"),
-            (("table",), "verify --product table needs --k"),
-            (("padded",), "verify --product padded needs --n"),
-            (("padded", "--n", "2"), "padded needs --n >= 3"),
-            (("table", "--k", "11"), "--k must be in 1..10"),
-            (("cross3", "--n", "7"), "cross3 has dimension 3"),
+            (
+                ("verify", "--product", "table", "--k", "2", "--n", "99"),
+                "the level-2 table has dimension 7",
+            ),
+            (
+                ("verify", "--product", "cross7", "--k", "9"),
+                "--k applies only to --product table",
+            ),
+            (
+                ("verify", "--product", "padded", "--n", "8", "--k", "4"),
+                "--k applies only to --product table",
+            ),
+            (("verify", "--product", "table"), "verify --product table needs --k"),
+            (("verify", "--product", "padded"), "verify --product padded needs --n"),
+            (("verify", "--product", "padded", "--n", "2"), "padded needs --n >= 3"),
+            (("verify", "--product", "table", "--k", "11"), "--k must be in 1..10"),
+            (("verify", "--product", "cross3", "--n", "7"), "cross3 has dimension 3"),
+            (
+                ("verify", "--product", "cross3", "--samples", "0"),
+                "--samples must be >= 1",
+            ),
+            (
+                ("verify", "--product", "cross3", "--axioms", ","),
+                "--axioms must name at least one axiom",
+            ),
+            (("counterexample", "--k", "11"), "--k must be <= 10"),
+            (
+                ("--float", "counterexample", "--k", "3"),
+                "the counterexample is computed in exact mode only",
+            ),
+            (("--float", "classify"), "classification runs in exact mode only"),
         ],
         ids=[
             "table-n", "cross7-k", "padded-k", "table-no-k", "padded-no-n",
-            "padded-n2", "table-k11", "cross3-n",
+            "padded-n2", "table-k11", "cross3-n", "samples-0", "axioms-empty",
+            "counterexample-k11", "float-counterexample", "float-classify",
         ],
     )
-    def test_contradictory_flags(self, capsys, flags, message):
+    def test_contradictory_flags(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--product", *flags])
+            main(list(argv))
         assert exc.value.code == 2
         assert capsys.readouterr().err.strip().splitlines()[-1] == (
             f"crossn: error: {message}"
         )
+
+    def test_contradicted_expectation_exits_1(self, capsys, monkeypatch):
+        # cli.FAMILIES looks the factory up at call time, so this broken
+        # product stands in for cross7, which is expected to keep everything.
+        real = verify.cross7_product
+        monkeypatch.setattr(
+            verify,
+            "cross7_product",
+            lambda: dataclasses.replace(real(), evaluate=lambda u, v: v),
+        )
+        status, out = run(
+            capsys, "verify", "--product", "cross7", "--samples", "1",
+            "--axioms", "perpendicular",
+        )
+        assert status == 1
+        (report,) = json.loads(out)
+        assert (report["product"], report["verdict"]) == ("cross7", "refuted")
 
     def test_table_accepts_its_own_dimension(self, capsys):
         status, out = run(
@@ -380,6 +425,20 @@ class TestCounterexampleCommand:
         assert "n = 31" in out
         assert "LHS (u.u)(v.v) = 4" in out
 
+    def test_known_pair_that_holds_exits_1(self, capsys, monkeypatch):
+        # e1, e2 satisfy the Pythagorean identity at every level.
+        real = verify.product_for_table
+
+        def holding_pair(table):
+            units = (Vector.unit(table.n, 1), Vector.unit(table.n, 2))
+            return dataclasses.replace(real(table), known=units)
+
+        monkeypatch.setattr(verify, "product_for_table", holding_pair)
+        status, out = run(capsys, "counterexample", "--k", "3")
+        assert status == 1
+        assert "RHS (u x v).(u x v) + (u.v)^2 = 1" in out
+        assert out.strip().splitlines()[-1] == "verdict: Pythagorean holds (unexpected)"
+
     def test_level_too_small(self, capsys):
         assert run_usage_error(capsys, "counterexample", "--k", "2") == 2
 
@@ -399,6 +458,21 @@ class TestClassifyCommand:
         assert "(lhs 0, rhs 4)" in lines[2]
         assert "dimensions 0, 1, 3 and 7" in lines[-1]
         assert "zero map" in lines[-1]
+
+    def test_contradicted_expectation_exits_1(self, capsys, monkeypatch):
+        # kept=() with no known pair expects the Pythagorean identity to be
+        # refuted, but at level 1 it holds.
+        real = verify.product_for_table
+        monkeypatch.setattr(
+            verify, "product_for_table", lambda t: dataclasses.replace(real(t), kept=())
+        )
+        (verdict,) = verify.classify_dimensions(1, samples=1)
+        assert (verdict.report.verdict, verdict.expected) == (
+            "holds-on-all-samples", "refuted"
+        )
+        status, out = run(capsys, "classify", "--max-k", "1")
+        assert status == 1
+        assert out.startswith("k=1 n=3: pythagorean holds-on-all-samples\n")
 
     def test_max_k_bounds(self, capsys):
         assert run_usage_error(capsys, "classify", "--max-k", "0") == 2
@@ -525,9 +599,10 @@ class TestOutputFile:
 
 # == golden reports ==========================================================
 
-# sha256 of stdout at the default seed.  Neither the checkers' fast paths
-# (kept cleared integers, basis products evaluated once) nor the shared
-# checker driver may move a byte.
+# sha256 of stdout, which no refactoring or fast path may move: verify
+# reports at the default seed, tables in every format, exact and double
+# products, and classify and counterexample up to level 10.  --help is left
+# out, because argparse wraps it differently across Python versions.
 GOLDEN_DIGESTS = {
     ("verify", "--product", "cross7", "--samples", "20"):
         "1710b91bf3cc4caf8b5af819dc77880f7b1a557b73611150c7540dd4eaf4a9c5",
@@ -543,6 +618,50 @@ GOLDEN_DIGESTS = {
         "58d0fdca0ed0e80070b84d7269cff44cbd34306df0e90bb3f823ceec5c86bc8a",
     ("verify", "--product", "padded", "--n", "4", "--samples", "20"):
         "3a17c4d6553d192fcf3aab43fb8dd9170aab85ae40cdecd18f9fbf39b578ce1e",
+    ("table", "--k", "1", "--format", "md"):
+        "ea0d3b56022df96490bb967ccd3c70d70c76ccf4c455b7b46554b5395d811567",
+    ("table", "--k", "1", "--format", "csv"):
+        "6505aff044910791f25826a31e789010a5308ed9c0ac50f8fa850011c5e98ba6",
+    ("table", "--k", "1", "--format", "json"):
+        "a2c9b72f7284e83944a561e71d3ae8444226e25cc99205164e32726293cb0ab8",
+    ("table", "--k", "2", "--format", "md"):
+        "dace88cf2d42d2d0055c5dc5d5fa2bf3610afc66923b776be500b7c439fae447",
+    ("table", "--k", "2", "--format", "csv"):
+        "30d42eb3b5dc93f218eeea9ee3be932f688ba587e0ef894927b811e42da62d71",
+    ("table", "--k", "2", "--format", "json"):
+        "1c93c963bcb21d32f5300b0e3b0c74c091d3497cece08c6acd233b8be4ae73c6",
+    ("table", "--k", "3", "--format", "md"):
+        "787422f1f52fd710b0d0dce0902828a4be033d637b93dba17a2d7262543b9ad2",
+    ("table", "--k", "3", "--format", "csv"):
+        "e5fd8134f875192c3f9427a888e7a8feca6ed4272cbdcac03a34e4180638216d",
+    ("table", "--k", "3", "--format", "json"):
+        "089cc5c486277043b8afb784aec263148293987282a96a09ad76409902f1e783",
+    ("cross", "--product", "table", "--n", "7",
+     "--u", "0,1,0,0,0,1/2,0", "--v", "1,0,0,2,0,0,-1"):
+        "808ccb1171fe10b0dd170de9b63ee6f9a8d2c2d6dd3d20b9bb89675e05930c76",
+    ("cross", "--product", "cross3", "--n", "3", "--u", "1,2,3", "--v", "4,5,-6/7"):
+        "ed41cca904a73fb618bd8c937ea981287d7c967495053c29aaeb344db8d1d8e3",
+    ("cross", "--product", "cross7", "--n", "7",
+     "--u", "1,2,3,4,5,6,7", "--v", "7,-6,5,-4,3,-2,1/3"):
+        "1278cc579fad58c9d34366c80501f1b743358a70652f716b4b561e2fa1d286a4",
+    ("cross", "--product", "padded", "--n", "5",
+     "--u", "1,2,3,4,5", "--v", "5,4,3,2,1/2"):
+        "f7120386e1217ea17d28accbabeb17a8e21f577cb6f9cf91092de8213448f2f3",
+    ("cross", "--product", "det", "--n", "3", "--u", "1,2,3", "--v", "4,5,6"):
+        "2c2f55569b051dd41c658013fe6b063416d2b72052e2d03dfc5a14c4a18fac6a",
+    ("--float", "cross", "--product", "cross7", "--n", "7",
+     "--u", "1,2,3,4,5,6,7", "--v", "7,-6,5,-4,3,-2,0.1"):
+        "417058bb6d38d6c061b4112d326f55566417b734049ea034bc72b139b298e7fb",
+    ("--float", "cross", "--product", "table", "--n", "7",
+     "--u", "0,1,0,0,0,0.5,0", "--v", "1,0,0,2,0,0,-1.25"):
+        "0ee538e681f64f6aa9c2de7a6fd5aba442078a3e479419e7b4a049c8ed115fb8",
+    ("--float", "cross", "--product", "padded", "--n", "5",
+     "--u", "1,2,3,4,5.5", "--v", "5,4,3,2,0.1"):
+        "12f75a5d1c3a7faac93cbbd35ac0b05ec2694e732317eba1514a8493833887c7",
+    ("classify", "--max-k", "10"):
+        "f036f59543087d318c901f81a621638637ec94771a8c0fb8a31bdff822ff19d9",
+    ("counterexample", "--k", "10"):
+        "540a5e936819e17453f2b4aba9b5b058341812668cf2cc298bb310662f89fd2a",
 }
 
 # An id is the argv's first four words, or all of them once those are taken.

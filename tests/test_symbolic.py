@@ -5,20 +5,24 @@ Core claims:
       previous level times new generator) and has 2**(k+1)-1 elements
     - the generator-set encoding is a bijection onto 1..2**(k+1)-1
     - normalize_product reproduces the published 3x3 and 7x7 tables
-    - the fast normalizer and the traced rewriter agree everywhere, and
-      every trace replays against an independent evaluation
+    - the fast normalizer and the traced rewriter agree everywhere, every
+      trace replays against an independent evaluation, and a trace renders
+      as its recorded text
     - the XOR index law and cell antisymmetry hold exhaustively (checked,
       never assumed)
     - every sign row cell equals normalize_product (all cells up to k = 5,
       samples at k = 6..10), and table_product on the rows equals a per-cell
       sum through normalize_product, bit for bit in double mode
     - lower-level tables sit exactly in the top-left block of higher ones
+    - MulTable.validate, the one closure check, rejects a tampered copy
+      through each of its branches
     - markdown/CSV/JSON serializations match the goldens and round-trip
     - the level >= 3 witness pair is e3 + e10 and e6 - e15, zero-padded
 """
 
 import json
 import random
+import re
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -229,6 +233,15 @@ class TestTracedNormalizer:
                     assert fast == traced
                     assert trace.replay(), (i, j, k)
 
+    def test_rendering(self):
+        _, trace = normalize_product_traced(5, 6, 2)
+        assert str(trace) == (
+            "(u0 × u2) × (u1 × u2)\n  =  −(u0 × u1)   [pair-collapse]"
+        )
+        assert str(trace.steps[0]) == (
+            "(u0 × u2) × (u1 × u2)  =  −(u0 × u1)   [pair-collapse]"
+        )
+
     def test_tampered_trace_fails_replay(self):
         result, trace = normalize_product_traced(5, 6, 2)
         flipped = SignedBasis(-result.sign, result.index)
@@ -266,12 +279,27 @@ class TestBuildTable:
             build_table(k).validate()
 
     def test_validate_rejects_tampering(self):
+        # One tampered copy per rejection branch; validate() is the only
+        # check that every cell is a signed unit (closure under x).
         table = build_table(2)
-        rows = [array("b", r) for r in table.signs]
-        rows[1][2] = 0
-        bad = MulTable(table.k, table.n, tuple(rows))
-        with pytest.raises(ValueError, match="must be nonzero"):
-            bad.validate()
+
+        def tampered(i, j, s):
+            rows = [array("b", r) for r in table.signs]
+            rows[i][j] = s
+            return MulTable(table.k, table.n, tuple(rows))
+
+        cases = [
+            (tampered(1, 2, 0), "off-diagonal cell (1,2) must be nonzero"),
+            (MulTable(table.k, 15, table.signs), "n=15 does not match level k=2"),
+            (MulTable(table.k, table.n, table.signs[:-1]), "must form an 8 x 8 grid"),
+            (tampered(0, 3, 1), "row 0 and column 0 name no basis element"),
+            (tampered(3, 0, -1), "row 0 and column 0 name no basis element"),
+            (tampered(3, 3, 1), "diagonal cell (3,3) must be zero"),
+            (tampered(1, 2, 2), "cell (1,2) has sign 2, expected -1 or 1"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                bad.validate()
 
     def test_level_bounds(self):
         with pytest.raises(ValueError):

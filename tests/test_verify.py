@@ -11,8 +11,6 @@ Core claims:
       witness does not; verdicts are deterministic functions of
       (product, samples, seed)
     - deliberately broken products are refuted, never excused
-    - closure/orthonormality checking accepts generated tables and rejects
-      tampered ones
     - one checker call evaluates each product of two basis vectors once
     - the tables' sign rows certify perpendicular and identity 1.1, which
       the table products are expected to keep
@@ -43,7 +41,6 @@ from crossn.verify import (
     cross3_product,
     cross7_product,
     expected_verdict,
-    orthonormal_closure_check,
     padded_product,
     product_for_table,
     replay,
@@ -243,43 +240,21 @@ class TestIdentities:
                 assert product.dim == 15 and axiom != "identity-1.1"
 
 
-# == closure and orthonormality ==============================================
-
-
-class TestClosure:
-    def test_generated_tables_pass(self):
-        for k in (2, 3):
-            table = build_table(k)
-            report = orthonormal_closure_check(table)
-            assert report.verdict == HOLDS
-            assert report.axiom == "closure"
-            assert report.samples_run == table.n**2
-
-    def test_zeroed_cell_refuted(self):
-        bad = _zeroed_cell_table()
-        report = orthonormal_closure_check(bad)
-        assert report.refuted
-        assert report.witness.u == Vector.unit(7, 1)
-        assert report.witness.v == Vector.unit(7, 2)
-        assert report.witness.lhs == 0 and report.witness.rhs == 1
-        assert replay(report, product_for_table(bad))
-
-
 # == classification ==========================================================
 
 
 class TestClassifyDimensions:
     def test_pattern_up_to_level_three(self):
         verdicts = classify_dimensions(3, samples=60)
-        assert [d.pythagorean_refuted for d in verdicts] == [False, False, True]
-        assert [d.n for d in verdicts] == [3, 7, 15]
-        witness = verdicts[2].witness
+        assert [d.report.refuted for d in verdicts] == [False, False, True]
+        assert [d.report.dim for d in verdicts] == [3, 7, 15]
+        witness = verdicts[2].report.witness
         assert witness is not None
         assert dot(witness.u, witness.u) == 2
 
     def test_witnesses_replay(self):
         for d in classify_dimensions(3, samples=60):
-            if d.pythagorean_refuted:
+            if d.report.refuted:
                 assert replay(d.report, product_for_table(build_table(d.k)))
 
     def test_determinism(self):
@@ -295,8 +270,8 @@ class TestClassifyDimensions:
 
     def test_single_level(self):
         (verdict,) = classify_dimensions(1, samples=30)
-        assert verdict.k == 1 and verdict.n == 3
-        assert not verdict.pythagorean_refuted
+        assert verdict.k == 1 and verdict.report.dim == 3
+        assert not verdict.report.refuted
 
     def test_embedded_level2_inputs_keep_pythagorean_at_level3(self):
         # vectors supported on the first 7 coordinates behave identically
@@ -372,11 +347,8 @@ def _refuted(axiom):
     if axiom == "identities":
         p = broken_quadratic()
         return [(r, p) for r in check_identities(p, samples=10) if r.refuted]
-    if axiom == "pythagorean":
-        p = padded_product(4)
-        return [(check_pythagorean(p, samples=5), p)]
-    table = _zeroed_cell_table()
-    return [(orthonormal_closure_check(table), product_for_table(table))]
+    p = padded_product(4)
+    return [(check_pythagorean(p, samples=5), p)]
 
 
 def _changed(x):
@@ -387,7 +359,7 @@ def _changed(x):
 
 class TestReplay:
     @pytest.mark.parametrize(
-        "axiom", ["perpendicular", "bilinear", "identities", "pythagorean", "closure"]
+        "axiom", ["perpendicular", "bilinear", "identities", "pythagorean"]
     )
     def test_tampered_witness_fails_replay(self, axiom):
         cases = _refuted(axiom)
