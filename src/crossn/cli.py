@@ -67,9 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", metavar="PATH", help="write output to a file")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    levels = f"(1..{symbolic.MAX_LEVEL})"
 
     p_table = sub.add_parser("table", help="print a basis multiplication table")
-    p_table.add_argument("--k", type=int, required=True, help="basis level (1..10)")
+    p_table.add_argument("--k", type=int, required=True, help=f"basis level {levels}")
     p_table.add_argument("--format", choices=FORMATS, default="md")
 
     p_cross = sub.add_parser("cross", help="multiply two vectors")
@@ -99,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser(
         "classify", help="which dimensions admit a cross product"
     )
-    levels = f"largest level (1..{symbolic.MAX_LEVEL})"
-    p_cls.add_argument("--max-k", type=int, default=3, help=levels)
+    p_cls.add_argument("--max-k", type=int, default=3, help=f"largest level {levels}")
 
     return parser
 
@@ -334,13 +334,13 @@ def _fail_output(parser, path: str, exc: OSError) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.output:
+    if args.output is not None:
         try:
             _check_output_path(args.output)
         except OSError as exc:
             _fail_output(parser, args.output, exc)
     text, status = globals()[f"cmd_{args.command}"](args, parser)
-    if args.output:
+    if args.output is not None:
         try:
             _write_output(args.output, text + "\n")
         except OSError as exc:

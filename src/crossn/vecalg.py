@@ -19,6 +19,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, float]
@@ -30,7 +31,7 @@ DOUBLE = "double"
 # minors; this is a desk-scale tool.
 MAX_DET_DIM = 12
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
 # Exact ``scaled``, ``+`` and ``-`` give every zero coordinate this one value.
 _ZERO = Fraction(0)
@@ -58,7 +59,8 @@ def _coerce_double(value) -> float:
         return float(value)
     if isinstance(value, str):
         token = value.strip()
-        if "/" in token:
+        # float() would also read underscores and non-ASCII digits.
+        if "/" in token or "_" in token or not token.isascii():
             raise ValueError(
                 f"double mode expects a decimal literal, got {value!r}"
             )
@@ -353,22 +355,16 @@ def det_product(rows: Sequence[Vector]) -> Vector:
         raise ValueError(
             f"det_product in dim {n} needs exactly {n - 1} rows, got {len(rows)}"
         )
-    if n < 2:
-        raise ValueError("det_product needs dimension >= 2")
     if n > MAX_DET_DIM:
         raise ValueError(f"det_product supports dim <= {MAX_DET_DIM}, got {n}")
 
     grid = [r.coords for r in rows]
-    minors: dict = {}
 
+    @lru_cache(maxsize=None)
     def minor_det(r: int, cols: tuple) -> Scalar:
         # Determinant of grid rows r.. restricted to the given columns.
         if not cols:
             return Fraction(1) if mode == EXACT else 1.0
-        key = (r, cols)
-        cached = minors.get(key)
-        if cached is not None:
-            return cached
         total = zero_scalar(mode)
         row = grid[r]
         for t, c in enumerate(cols):
@@ -377,7 +373,6 @@ def det_product(rows: Sequence[Vector]) -> Vector:
                 continue
             sub = minor_det(r + 1, cols[:t] + cols[t + 1 :])
             total = total + a * sub if t % 2 == 0 else total - a * sub
-        minors[key] = total
         return total
 
     out = []

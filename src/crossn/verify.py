@@ -25,7 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, List, Optional, Tuple, Union
 
 from . import symbolic
@@ -173,38 +173,28 @@ def random_vector(rng: random.Random, n: int) -> Vector:
     return Vector([random_rational(rng) for _ in range(n)])
 
 
-@lru_cache(maxsize=None)
-def _units(n: int) -> tuple:
-    """e_1..e_n, kept per n so that checker calls share the vectors and the
-    cleared integers they keep."""
-    return tuple(Vector.unit(n, i) for i in range(1, n + 1))
-
-
-def _memoised(product: ProductUnderTest, units: tuple) -> ProductUnderTest:
-    """``product`` evaluating the product of two signed ``units`` at most once.
+def _memoised(product: ProductUnderTest) -> ProductUnderTest:
+    """``product`` evaluating the product of two signed unit vectors at most once.
 
     Only up to BASIS_TRIPLE_LIMIT, where the basis stages reuse pairs.  The
-    memo is keyed by ``id``; ``signed`` holds the units and their negatives,
-    so while the memo exists no other vector can have one of their ids.  A
-    product equal to one of them is returned as that shared object, so a
-    nested product such as ``p(w, p(v, u))`` hits the memo too.  ``signed``
-    is keyed by cleared integers, which hash far faster than Fractions and
-    which the exact kernels reuse.
+    memo is keyed by the operands' cleared integers, so equal operands hit it
+    whichever objects carry them, nested products such as ``p(w, p(v, u))``
+    included.  A result is stored only when both operands are signed units
+    (denominator 1 and one nonzero numerator, +-1).
     """
     if product.dim > BASIS_TRIPLE_LIMIT:
         return product
     evaluate = product.evaluate
-    signed = {_cleared(e): e for e in units + tuple(e.scaled(-1) for e in units)}
-    live = {id(e) for e in signed.values()}
     memo = {}
 
     def cached(u: Vector, v: Vector) -> Vector:
-        key = (id(u), id(v))
+        key = _cleared(u), _cleared(v)
         out = memo.get(key)
         if out is None:
             out = evaluate(u, v)
-            if id(u) in live and id(v) in live:
-                out = memo[key] = signed.get(_cleared(out), out)
+            (xs, dx), (ys, dy) = key
+            if dx == dy == 1 and sum(map(abs, xs)) == sum(map(abs, ys)) == 1:
+                memo[key] = out
         return out
 
     return dataclasses.replace(product, evaluate=cached)
@@ -223,13 +213,13 @@ def _unit_cases(product, units, samples, rng, arity=2, distinct=False):
     """
     n = product.dim
     basis = units if arity == 2 or n <= BASIS_TRIPLE_LIMIT else ()
-    for args in itertools.product(basis, repeat=arity):
-        if not distinct or len(set(map(id, args))) == arity:
-            yield args
+    if distinct:
+        yield from itertools.permutations(basis, arity)
+    else:
+        yield from itertools.product(basis, repeat=arity)
     for _ in range(samples):
         if distinct:
-            picks = rng.sample(range(1, n + 1), arity)
-            yield tuple(units[i - 1] if units else Vector.unit(n, i) for i in picks)
+            yield tuple(Vector.unit(n, i) for i in rng.sample(range(1, n + 1), arity))
         else:
             yield tuple(random_vector(rng, n) for _ in range(arity))
 
@@ -355,9 +345,10 @@ def _check(product: ProductUnderTest, axiom: str, samples: int, seed: int):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     cases, test = _AXIOMS[axiom]
+    n = product.dim
     # The exhaustive basis stages run only up to BASIS_PAIR_LIMIT.
-    units = _units(product.dim) if product.dim <= BASIS_PAIR_LIMIT else ()
-    memoised = _memoised(product, units)
+    units = tuple(Vector.unit(n, i) for i in range(1, n + 1)) if n <= BASIS_PAIR_LIMIT else ()
+    memoised = _memoised(product)
     count, witness = 0, None
     for args in cases(memoised, units, samples, random.Random(seed)):
         count += 1

@@ -567,14 +567,17 @@ class TestOutputFile:
             ("missing/out.txt", errno.ENOENT),
             ("file.txt/out.txt", errno.ENOTDIR),
             (".", errno.EISDIR),
+            # An empty path, such as an unset variable, names the directory.
+            ("", errno.EISDIR),
         ],
-        ids=["missing-dir", "file-as-dir", "is-a-dir"],
+        ids=["missing-dir", "file-as-dir", "is-a-dir", "empty"],
     )
     def test_unwritable_path_fails_before_the_command(
         self, tmp_path, capsys, monkeypatch, where, reason
     ):
         (tmp_path / "file.txt").write_text("keep\n", encoding="utf-8")
-        target = tmp_path / where
+        target = tmp_path / where if where else ""
+        monkeypatch.chdir(tmp_path)
 
         def never(args, parser):
             raise AssertionError("the command ran before --output was checked")

@@ -247,6 +247,23 @@ class TestTracedNormalizer:
         flipped = SignedBasis(-result.sign, result.index)
         bad = RewriteTrace(trace.initial, trace.steps, flipped)
         assert not bad.replay()
+        # Each tampered trace below fails only the check its comment names.
+        (step,) = trace.steps
+        flip = (-step.after[0], step.after[1])
+        # a step whose before is not the expression reached so far
+        unchained = (RewriteStep(step.rule, step.after, step.after),)
+        # two steps that each change the value, ending at the right word
+        revalued = (
+            RewriteStep(step.rule, step.before, flip),
+            RewriteStep(step.rule, flip, step.after),
+        )
+        tampered = [RewriteTrace(trace.initial, s, result) for s in (unchained, revalued)]
+        # (u1 × u2) × u0 = +e7 has the result's sign and index, but it is no
+        # canonical word, so a trace may not stop there.
+        result, trace = normalize_product_traced(6, 1, 2)
+        tampered.append(RewriteTrace(trace.initial, (), result))
+        for bad in tampered:
+            assert not bad.replay(), bad
 
     def test_step_with_unknown_rule_fails_replay(self):
         _, trace = normalize_product_traced(5, 6, 2)
@@ -273,6 +290,11 @@ class TestBuildTable:
         for i in range(1, 8):
             for j in range(1, 8):
                 assert table.entry(i, j).value == R7_CELLS[i - 1][j - 1]
+
+    def test_cells_equal_the_entry_grid(self):
+        table = build_table(2)
+        grid = [tuple(table.entry(i, j) for j in range(1, 8)) for i in range(1, 8)]
+        assert list(table.cells) == grid
 
     def test_validate_passes_for_generated_tables(self):
         for k in (1, 2, 3):
@@ -438,6 +460,10 @@ class TestSerialization:
             table_from_json(
                 json.dumps({"k": 1, "n": 3, "cells": [[0, 9, -2], [-3, 0, 1], [2, -1, 0]]})
             )
+        # k and n must be ints; json reads true as a bool.
+        for k, n in (("1", 3), (1, 3.0), (True, 3)):
+            with pytest.raises(ValueError, match="^k and n must be integers$"):
+                table_from_json(json.dumps({"k": k, "n": n, "cells": R3_CELLS}))
         # Levels outside 1..MAX_LEVEL, and n that does not belong to k.
         with pytest.raises(ValueError, match="level must be in"):
             table_from_json(json.dumps({"k": 0, "n": 1, "cells": [[0]]}))

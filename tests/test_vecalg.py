@@ -8,7 +8,8 @@ Core claims:
     - padded_cross embeds the 3D product and kills coordinates 4..n
     - det_product is the formal first-row cofactor expansion: perpendicular
       to every row, equal to cross3 for n = 3, zero on repeated rows
-    - parsing/formatting of comma-separated rational literals round-trips
+    - parsing/formatting of comma-separated rational literals round-trips,
+      and literals take ASCII digits only, with no underscores
     - the integer kernels behind exact dot/cross3/cross7/padded_cross and
       exact scaled/+/- equal a term-by-term Fraction evaluation, and double
       mode is bit-identical to the plain float formulas
@@ -18,6 +19,7 @@ Core claims:
 import math
 import operator
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossn.vecalg import (
     DOUBLE,
+    EXACT,
     Vector,
     _cleared,
     cross3,
@@ -120,6 +123,26 @@ class TestParseFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_vector("1,two,3")
+        # Only ASCII digits, and no underscores, in either mode.
+        exact = "exact mode expects an integer or p/q literal, got {!r}"
+        double = "double mode expects a decimal literal, got {!r}"
+        for text, mode, message in [
+            ("\u0663,1,2", EXACT, exact),
+            ("1/\u0663,1,2", EXACT, exact),
+            ("1_5,1,2", EXACT, exact),
+            ("\u0663,1,2", DOUBLE, double),
+            ("1_5,1,2", DOUBLE, double),
+            ("1.5e1_0,1,2", DOUBLE, double),
+            ("\uff11,1,2", DOUBLE, double),
+        ]:
+            token = text.split(",")[0]
+            with pytest.raises(ValueError, match=f"^{re.escape(message.format(token))}$"):
+                parse_vector(text, mode)
+        # nan and inf keep the finite-literal message.
+        for token in ("nan", "inf", "-Infinity"):
+            finite = f"double mode expects a finite literal, got {token!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(finite)}$"):
+                parse_vector(f"{token},1,2", DOUBLE)
 
 
 # == dot product =============================================================

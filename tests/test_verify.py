@@ -11,7 +11,10 @@ Core claims:
       witness does not; verdicts are deterministic functions of
       (product, samples, seed)
     - deliberately broken products are refuted, never excused
-    - one checker call evaluates each product of two basis vectors once
+    - one checker call evaluates each product of two basis vectors once,
+      keyed on values: equal units hit the memo whichever object carries
+      them, other operands are never stored, and reports are the same
+      with the memo bypassed
     - the tables' sign rows certify perpendicular and identity 1.1, which
       the table products are expected to keep
     - reports serialize to the documented JSON shape
@@ -20,11 +23,13 @@ Core claims:
 import dataclasses
 import json
 from array import array
+from fractions import Fraction
 
 import pytest
 
+from crossn import verify
 from crossn.symbolic import MulTable, build_table
-from crossn.vecalg import Vector, dot
+from crossn.vecalg import Vector, cross7, dot
 from crossn.verify import (
     DEFAULT_SEED,
     HOLDS,
@@ -117,6 +122,10 @@ class TestPythagorean:
 
     def test_padded_3d_is_cross3_and_holds(self):
         assert check_pythagorean(padded_product(3), samples=50).verdict == HOLDS
+
+    def test_padded_needs_dim_3(self):
+        with pytest.raises(ValueError, match=r"^padded product needs dim >= 3, got 2$"):
+            padded_product(2)
 
     def test_table_level_3_refuted_with_injected_pair(self):
         p = product_for_table(build_table(3))
@@ -238,6 +247,66 @@ class TestIdentities:
                 assert len(calls) == n * n
             else:
                 assert product.dim == 15 and axiom != "identity-1.1"
+
+
+def _counted_cross7():
+    """cross7 memoised, and the list of (u, v) it was evaluated on."""
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return cross7(u, v)
+
+    return verify._memoised(ProductUnderTest("counted", 7, counting)).evaluate, calls
+
+
+class TestMemo:
+    @pytest.mark.parametrize(
+        "product",
+        [cross7_product(), product_for_table(build_table(3)), padded_product(8)],
+        ids=["cross7", "table-k3", "padded-n8"],
+    )
+    def test_reports_equal_without_the_memo(self, product, monkeypatch):
+        def reports():
+            return [
+                check_perpendicular(product, samples=3),
+                check_pythagorean(product, samples=3),
+                check_bilinear(product, samples=3),
+                *check_identities(product, samples=3),
+            ]
+
+        memoised = reports()
+        monkeypatch.setattr(verify, "_memoised", lambda product: product)
+        bypassed = reports()
+        assert len(memoised) == 9
+        assert memoised == bypassed
+
+    def test_equal_units_evaluate_once(self):
+        p, calls = _counted_cross7()
+        first = p(Vector.unit(7, 1), Vector.unit(7, 2))
+        again = p(Vector.unit(7, 1), Vector.unit(7, 2))
+        assert first == again == Vector.unit(7, 3)
+        assert len(calls) == 1
+        # A basis product fed back in hits the entry of the equal unit.
+        e4 = Vector.unit(7, 4)
+        assert p(e4, first) == p(e4, Vector.unit(7, 3))
+        minus_e3 = Vector.exact([0, 0, -1, 0, 0, 0, 0])
+        assert p(minus_e3, e4) == p(Vector.unit(7, 3).scaled(-1), e4)
+        assert len(calls) == 3
+
+    def test_non_unit_operands_are_never_stored(self):
+        p, calls = _counted_cross7()
+        e1 = Vector.unit(7, 1)
+        others = [
+            e1.scaled(2),
+            e1.scaled(Fraction(1, 2)),
+            e1 + Vector.unit(7, 2),
+            Vector.zeros(7),
+        ]
+        for x in others:
+            for u, v in ((x, e1), (e1, x)):
+                assert p(u, v) == p(u, v) == cross7(u, v)
+        assert len(calls) == 2 * 2 * len(others)
 
 
 # == classification ==========================================================
