@@ -99,14 +99,19 @@ class BasisWord:
 
     def tree(self) -> Tree:
         """Canonical nesting: largest generator outermost."""
-        gens = sorted(self.generators)
-        node: Tree = gens[0]
-        for b in gens[1:]:
-            node = (node, b)
-        return node
+        return _word_tree(self.index)
 
     def __str__(self) -> str:
         return tree_str(self.tree())
+
+
+def _word_tree(index: int) -> Tree:
+    """The canonical word of generator set ``index`` (>= 1), read from its bits."""
+    gens = [b for b in range(index.bit_length()) if index >> b & 1]
+    node: Tree = gens[0]
+    for b in gens[1:]:
+        node = (node, b)
+    return node
 
 
 def build_basis(k: int) -> List[BasisWord]:
@@ -180,34 +185,32 @@ def _norm_indices(i: int, j: int) -> Tuple[int, int]:
     """Reduce e_i x e_j to (sign, index), (0, 0) meaning zero.
 
     Recursion on the largest generator present in either word; each case is
-    one of the rewrite rules, oriented by antisymmetry.
+    one of the rewrite rules, oriented by antisymmetry.  The recursion runs
+    as a loop: ``sign`` and ``high`` carry what each case applies to the rest.
     """
-    if i == j:
-        return (0, 0)
-    top = max(i.bit_length(), j.bit_length()) - 1
-    bit = 1 << top
-    a = i & ~bit
-    b = j & ~bit
-    if i & bit and j & bit:
-        if a == 0:  # u_t * (y * u_t) = y
-            return (1, b)
-        if b == 0:  # (y * u_t) * u_t = -y
-            return (-1, a)
-        s, m = _norm_indices(a, b)  # pair-collapse, then recurse below t
-        return (-s, m)
-    if i & bit:
-        if a == 0:  # u_t * y = -(y * u_t)
-            return (-1, j | bit)
-        if j == a:  # (y * u_t) * y = u_t
-            return (1, bit)
-        s, m = _norm_indices(j, a)  # orient, then shift
-        return (s, m | bit)
-    if b == 0:  # y * u_t is already a basis word
-        return (1, i | bit)
-    if i == b:  # y * (y * u_t) = -u_t
-        return (-1, bit)
-    s, m = _norm_indices(i, b)  # shift
-    return (-s, m | bit)
+    sign, high = 1, 0
+    while i != j:
+        bit = 1 << ((i | j).bit_length() - 1)
+        a, b = i & ~bit, j & ~bit
+        if i & bit and j & bit:
+            if a == 0:  # u_t * (y * u_t) = y
+                return (sign, b | high)
+            if b == 0:  # (y * u_t) * u_t = -y
+                return (-sign, a | high)
+            sign, i, j = -sign, a, b  # pair-collapse, then recurse below t
+        elif i & bit:
+            if a == 0:  # u_t * y = -(y * u_t)
+                return (-sign, j | bit | high)
+            if j == a:  # (y * u_t) * y = u_t
+                return (sign, bit | high)
+            i, j, high = j, a, high | bit  # orient, then shift
+        else:
+            if b == 0:  # y * u_t is already a basis word
+                return (sign, i | bit | high)
+            if i == b:  # y * (y * u_t) = -u_t
+                return (-sign, bit | high)
+            sign, j, high = -sign, b, high | bit  # shift
+    return (0, 0)
 
 
 def normalize_product(i: int, j: int, k: int) -> SignedBasis:
@@ -268,16 +271,20 @@ class RewriteTrace:
         rule and preserves the value of the expression (evaluated through the
         index recursion, not the trace machinery), and that the final
         expression denotes exactly ``result``.
+
+        Each expression is evaluated once: a step's ``before`` must equal the
+        expression reached so far, so its value is the one carried along, and
+        comparing each ``after`` with it checks every step's equality.
         """
-        current = self.initial
-        if _eval_expr(current) != (self.result.sign, self.result.index):
+        current, value = self.initial, _eval_expr(self.initial)
+        if value != (self.result.sign, self.result.index):
             return False
         for step in self.steps:
             if step.rule not in RULES:
                 return False
             if step.before != current:
                 return False
-            if _eval_expr(step.before) != _eval_expr(step.after):
+            if _eval_expr(step.after) != value:
                 return False
             current = step.after
         sign, tree = current
@@ -308,23 +315,21 @@ def _is_canonical_word(tree: Tree) -> bool:
     return _is_canonical_word(left) and _tree_index(left) < (1 << right)
 
 
+def _eval_tree(t: Tree) -> Tuple[int, int]:
+    if type(t) is int:
+        return (1, 1 << t)
+    (sl, ml), (sr, mr) = _eval_tree(t[0]), _eval_tree(t[1])
+    if sl == 0 or sr == 0:
+        return (0, 0)
+    s, m = _norm_indices(ml, mr)  # (0, 0) for zero
+    return (sl * sr * s, m)
+
+
 def _eval_expr(expr: Expr) -> Tuple[int, int]:
     """Denotation of an arbitrary signed product tree, via the recursion."""
     sign, tree = expr
-    if sign == 0:
-        return (0, 0)
-
-    def ev(t: Tree) -> Tuple[int, int]:
-        if isinstance(t, int):
-            return (1, 1 << t)
-        (sl, ml), (sr, mr) = ev(t[0]), ev(t[1])
-        if sl == 0 or sr == 0:
-            return (0, 0)
-        s, m = _norm_indices(ml, mr)
-        return (0, 0) if s == 0 else (sl * sr * s, m)
-
-    s, m = ev(tree)
-    return (0, 0) if s == 0 else (sign * s, m)
+    s, m = _eval_tree(tree) if sign else (0, 0)
+    return (sign * s, m)
 
 
 def _top_generator(word: Tree) -> int:
@@ -398,15 +403,11 @@ def _reduce_traced(sign, left, right, ctx, steps) -> Expr:
 def normalize_product_traced(i: int, j: int, k: int) -> Tuple[SignedBasis, RewriteTrace]:
     """Like ``normalize_product`` but with the full rewrite chain attached."""
     _check_level_and_indices(i, j, k)
-    li = BasisWord.from_index(i).tree()
-    rj = BasisWord.from_index(j).tree()
+    li, rj = _word_tree(i), _word_tree(j)
     initial: Expr = (1, (li, rj))
     steps: List[RewriteStep] = []
     final = _reduce_traced(1, li, rj, (), steps)
-    if final[0] == 0:
-        result = SignedBasis.zero()
-    else:
-        result = SignedBasis(final[0], _tree_index(final[1]))
+    result = SignedBasis(final[0], _tree_index(final[1])) if final[0] else SignedBasis.zero()
     trace = RewriteTrace(initial, tuple(steps), result)
     return result, trace
 

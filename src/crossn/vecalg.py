@@ -60,13 +60,14 @@ def _coerce_double(value) -> float:
     if isinstance(value, str):
         token = value.strip()
         # float() would also read underscores and non-ASCII digits.
-        if "/" in token or "_" in token or not token.isascii():
-            raise ValueError(
-                f"double mode expects a decimal literal, got {value!r}"
-            )
+        try:
+            if "/" in token or "_" in token or not token.isascii():
+                raise ValueError
+            number = float(token)
+        except ValueError:
+            raise ValueError(f"double mode expects a decimal literal, got {value!r}") from None
         # Literals come from outside; nan and inf are not coordinates.  A
         # computed float may still overflow to inf, as IEEE arithmetic does.
-        number = float(token)
         if not math.isfinite(number):
             raise ValueError(f"double mode expects a finite literal, got {value!r}")
         return number

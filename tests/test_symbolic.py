@@ -8,10 +8,14 @@ Core claims:
     - the fast normalizer and the traced rewriter agree everywhere, every
       trace replays against an independent evaluation, and a trace renders
       as its recorded text
+    - the looped sign kernel equals the recursive one, and the replay that
+      evaluates each expression once agrees with the one that evaluates both
+      sides of every step, on honest and on tampered traces
     - the XOR index law and cell antisymmetry hold exhaustively (checked,
       never assumed)
     - every sign row cell equals normalize_product (all cells up to k = 5,
-      samples at k = 6..10), and table_product on the rows equals a per-cell
+      samples at k = 6..10, where the traced result also equals the cell and
+      its trace replays), and table_product on the rows equals a per-cell
       sum through normalize_product, bit for bit in double mode
     - lower-level tables sit exactly in the top-left block of higher ones
     - MulTable.validate, the one closure check, rejects a tampered copy
@@ -49,6 +53,9 @@ from crossn.symbolic import (
     table_to_csv,
     table_to_json,
     table_to_markdown,
+    _is_canonical_word,
+    _norm_indices,
+    _tree_index,
 )
 from crossn.vecalg import DOUBLE, EXACT, Vector, dot, table_product
 
@@ -273,6 +280,119 @@ class TestTracedNormalizer:
         assert not bad.replay()
 
 
+def recursive_norm_indices(i, j):
+    """The sign kernel as one recursive call per rewrite, the looped one's reference."""
+    if i == j:
+        return (0, 0)
+    bit = 1 << (max(i.bit_length(), j.bit_length()) - 1)
+    a, b = i & ~bit, j & ~bit
+    if i & bit and j & bit:
+        if a == 0:
+            return (1, b)
+        if b == 0:
+            return (-1, a)
+        s, m = recursive_norm_indices(a, b)
+        return (-s, m)
+    if i & bit:
+        if a == 0:
+            return (-1, j | bit)
+        if j == a:
+            return (1, bit)
+        s, m = recursive_norm_indices(j, a)
+        return (s, m | bit)
+    if b == 0:
+        return (1, i | bit)
+    if i == b:
+        return (-1, bit)
+    s, m = recursive_norm_indices(i, b)
+    return (-s, m | bit)
+
+
+def reference_replay(trace):
+    """The reference for ``RewriteTrace.replay``: the same checks, evaluating
+    both sides of every step through a nested ``ev`` and the recursive kernel.
+    """
+
+    def eval_expr(expr):
+        sign, tree = expr
+        if sign == 0:
+            return (0, 0)
+
+        def ev(t):
+            if isinstance(t, int):
+                return (1, 1 << t)
+            (sl, ml), (sr, mr) = ev(t[0]), ev(t[1])
+            if sl == 0 or sr == 0:
+                return (0, 0)
+            s, m = recursive_norm_indices(ml, mr)
+            return (0, 0) if s == 0 else (sl * sr * s, m)
+
+        s, m = ev(tree)
+        return (0, 0) if s == 0 else (sign * s, m)
+
+    current = trace.initial
+    if eval_expr(current) != (trace.result.sign, trace.result.index):
+        return False
+    for step in trace.steps:
+        if step.rule not in RULES:
+            return False
+        if step.before != current:
+            return False
+        if eval_expr(step.before) != eval_expr(step.after):
+            return False
+        current = step.after
+    sign, tree = current
+    if sign == 0:
+        return trace.result.is_zero
+    if not _is_canonical_word(tree):
+        return False
+    return (sign, _tree_index(tree)) == (trace.result.sign, trace.result.index)
+
+
+class TestFastReplayAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(i=st.integers(1, 2 ** (MAX_LEVEL + 1) - 1), j=st.integers(1, 2 ** (MAX_LEVEL + 1) - 1))
+    def test_kernel_equals_recursive_kernel(self, i, j):
+        assert _norm_indices(i, j) == recursive_norm_indices(i, j)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_replay_agrees_with_two_evaluation_replay(self, data):
+        k = data.draw(st.integers(0, MAX_LEVEL), label="k")
+        n = (1 << (k + 1)) - 1
+        i = data.draw(st.integers(1, n), label="i")
+        j = data.draw(st.one_of(st.integers(1, n), st.just(i)), label="j")
+        result, trace = normalize_product_traced(i, j, k)
+        steps = list(trace.steps)
+        tampers = ["none", "flip-result"]
+        if steps:
+            tampers += ["flip-after", "flip-after-and-next-before", "replace-before", "drop-step"]
+        tamper = data.draw(st.sampled_from(tampers), label="tamper")
+        if tamper == "flip-result":
+            result = SignedBasis(-result.sign, result.index)
+        elif tamper != "none":
+            t = data.draw(st.integers(0, len(steps) - 1), label="step")
+            step = steps[t]
+            flipped = (-step.after[0], step.after[1])
+            if tamper.startswith("flip-after"):
+                steps[t] = RewriteStep(step.rule, step.before, flipped)
+                if tamper == "flip-after-and-next-before" and t + 1 < len(steps):
+                    # The chain still holds, so only the values can tell.
+                    steps[t + 1] = RewriteStep(steps[t + 1].rule, flipped, steps[t + 1].after)
+            elif tamper == "replace-before":
+                # Any other expression of the trace, or this one with its sign flipped.
+                others = [trace.initial] + [s.after for s in trace.steps]
+                others.append((-step.before[0], step.before[1]))
+                before = data.draw(st.sampled_from(others), label="before")
+                steps[t] = RewriteStep(step.rule, before, step.after)
+            else:
+                del steps[t]
+        tampered = RewriteTrace(trace.initial, tuple(steps), result)
+        assert tampered.replay() is reference_replay(tampered)
+        if tamper == "none":
+            assert tampered.replay()
+
+
 # == tables ==================================================================
 
 
@@ -404,7 +524,13 @@ class TestSignRowsAgainstRules:
         i = data.draw(st.integers(1, n))
         j = data.draw(st.one_of(st.integers(1, n), st.just(i), st.just(i ^ (1 << k))))
         if 1 <= j <= n:
-            assert cached_table(k).entry(i, j) == normalize_product(i, j, k)
+            cell = cached_table(k).entry(i, j)
+            assert cell == normalize_product(i, j, k)
+            # The rows come from _double, not the kernel: an independent check
+            # of the level-k traces that the benchmark replays.
+            result, trace = normalize_product_traced(i, j, k)
+            assert result == cell
+            assert trace.replay()
 
     @pytest.mark.parametrize("mode", [EXACT, DOUBLE])
     @pytest.mark.parametrize("n", [15, 63, 255])

@@ -134,6 +134,9 @@ class TestParseFormat:
             ("1_5,1,2", DOUBLE, double),
             ("1.5e1_0,1,2", DOUBLE, double),
             ("\uff11,1,2", DOUBLE, double),
+            # float() rejects these itself; the tool says so in its own words.
+            ("x,0,1", DOUBLE, double),
+            ("0x1p3,1,2", DOUBLE, double),
         ]:
             token = text.split(",")[0]
             with pytest.raises(ValueError, match=f"^{re.escape(message.format(token))}$"):
