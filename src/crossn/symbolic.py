@@ -41,13 +41,15 @@ import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .vecalg import Vector
 
 # Tables are O(n^2) cells with n = 2**(k+1) - 1; level 10 means n = 2047.
 MAX_LEVEL = 10
+
+# Negates the bytes of a sign row: 1 and -1 (0xff) swap, 0 stays.
+_NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")
 
 # Rewrite rule names, as cited by trace steps.
 RULE_ANTISYMMETRY = "antisymmetry"
@@ -452,7 +454,9 @@ class MulTable:
         Zero diagonal, a unit sign in every off-diagonal cell, and
         antisymmetry of cells.  Cell indices are i ^ j by representation;
         the tests check that law against ``normalize_product``, which derives
-        every index from the rewrite rules.
+        every index from the rewrite rules.  Rows are checked as bytes: unit
+        cells are the 1 and 0xff (-1) bytes, and column i, ``flat[i::n+1]``,
+        must equal row i translated by ``_NEG``; a failure walks the row.
         """
         n = self.n
         if n != _index_bound(self.k):
@@ -460,20 +464,23 @@ class MulTable:
         rows = self.signs
         if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
             raise ValueError(f"sign rows must form an {n + 1} x {n + 1} grid")
+        if any(not isinstance(row, array) or row.typecode != "b" for row in rows):
+            raise ValueError('sign rows must be array("b") rows')
         if any(rows[0]) or any(row[0] for row in rows):
             raise ValueError("row 0 and column 0 name no basis element and must be zero")
-        for i, (row, column) in enumerate(zip(rows, zip(*rows))):
-            if i == 0:
-                continue
+        flat = b"".join(rows)
+        for i, row in enumerate(rows[1:], start=1):
             if row[i]:
                 raise ValueError(f"diagonal cell ({i},{i}) must be zero")
-            if row.count(1) + row.count(-1) != n - 1:
+            cells = row.tobytes()
+            if cells.count(1) + cells.count(0xFF) != n - 1:
                 j = next(j for j, s in enumerate(row) if j not in (0, i) and s not in (1, -1))
                 if row[j] == 0:
                     raise ValueError(f"off-diagonal cell ({i},{j}) must be nonzero")
                 raise ValueError(f"cell ({i},{j}) has sign {row[j]}, expected -1 or 1")
-            if column != tuple(map(neg, row)):
-                j = next(j for j, s in enumerate(row) if column[j] != -s)
+            column, negated = flat[i :: n + 1], cells.translate(_NEG)
+            if column != negated:
+                j = next(j for j in range(n + 1) if column[j] != negated[j])
                 raise ValueError(f"cells ({i},{j}) and ({j},{i}) are not opposite")
 
 
@@ -483,16 +490,17 @@ def _double(rows: List[array]) -> List[array]:
     ``rows`` covers the indices 0 .. m-1 (m = 2**t); the result covers
     0 .. 2m-1, where index m | a is the word a x u_t (u_t itself for a == 0).
     Every cell takes its case of ``_norm_indices`` for top generator t and
-    reads any recursive sub-sign from ``rows``.
+    reads any recursive sub-sign from ``rows``: a row translated by ``_NEG``
+    for -s(a, b), the slice ``flat[a::m]`` of the joined rows for s(j, a).
     """
     m = len(rows)
-    columns = [array("b", c) for c in zip(*rows)]  # columns[a][j] = s(j, a)
+    flat = b"".join(rows)  # flat[a::m][j] = s(j, a)
     out = [array("b", bytes(2 * m))]
     for i in range(1, m):
         # e_i x e_j with j < m is the cell one level down.  e_i x (b x u_t):
         # shift gives -s(i, b), except that i x u_t is already a word and
         # i x (i x u_t) cancels to -u_t.
-        right = array("b", [-s for s in rows[i]])
+        right = array("b", rows[i].tobytes().translate(_NEG))
         right[0], right[i] = 1, -1
         out.append(rows[i] + right)
     # u_t x y = -(y x u_t) by antisymmetry; u_t x (y x u_t) = y.
@@ -501,9 +509,9 @@ def _double(rows: List[array]) -> List[array]:
         # (a x u_t) x e_j with j < m: orient, then shift, giving s(j, a),
         # except that (a x u_t) x a cancels to u_t.  (a x u_t) x (b x u_t):
         # pair-collapse gives -s(a, b), except that (a x u_t) x u_t = -a.
-        left = columns[a]
+        left = array("b", flat[a::m])
         left[a] = 1
-        right = array("b", [-s for s in rows[a]])
+        right = array("b", rows[a].tobytes().translate(_NEG))
         right[0] = -1
         out.append(left + right)
     return out

@@ -17,13 +17,18 @@ Core claims:
       samples at k = 6..10, where the traced result also equals the cell and
       its trace replays), and table_product on the rows equals a per-cell
       sum through normalize_product, bit for bit in double mode
+    - the sign rows at every level 1..10 hash to pinned SHA-256 digests
     - lower-level tables sit exactly in the top-left block of higher ones
     - MulTable.validate, the one closure check, rejects a tampered copy
-      through each of its branches
+      through each of its branches, and rows that are not array("b")
+    - the byte-operation validate and _double agree with the per-cell
+      reference loops: the same verdict and message on tampered tables, the
+      same rows at every level up to 7
     - markdown/CSV/JSON serializations match the goldens and round-trip
     - the level >= 3 witness pair is e3 + e10 and e6 - e15, zero-padded
 """
 
+import hashlib
 import json
 import random
 import re
@@ -53,6 +58,7 @@ from crossn.symbolic import (
     table_to_csv,
     table_to_json,
     table_to_markdown,
+    _double,
     _is_canonical_word,
     _norm_indices,
     _tree_index,
@@ -438,9 +444,20 @@ class TestBuildTable:
             (tampered(3, 0, -1), "row 0 and column 0 name no basis element"),
             (tampered(3, 3, 1), "diagonal cell (3,3) must be zero"),
             (tampered(1, 2, 2), "cell (1,2) has sign 2, expected -1 or 1"),
+            (tampered(1, 2, -table.signs[1][2]), "cells (1,2) and (2,1) are not opposite"),
         ]
         for bad, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):
+                bad.validate()
+
+    def test_validate_rejects_rows_that_are_not_byte_arrays(self):
+        table = build_table(2)
+        with_tuple_row = list(table.signs)
+        with_tuple_row[3] = tuple(with_tuple_row[3])
+        wide_rows = [array("h", r) for r in table.signs]
+        for rows in (with_tuple_row, wide_rows):
+            bad = MulTable(table.k, table.n, tuple(rows))
+            with pytest.raises(ValueError, match=re.escape('sign rows must be array("b") rows')):
                 bad.validate()
 
     def test_level_bounds(self):
@@ -480,6 +497,99 @@ class TestBuildTable:
 @lru_cache(maxsize=None)
 def cached_table(k):
     return build_table(k)
+
+
+def reference_validate(table):
+    """``MulTable.validate`` as a per-cell loop over rows and ``zip`` columns."""
+    n = table.n
+    if n != (1 << (table.k + 1)) - 1:
+        raise ValueError(f"n={n} does not match level k={table.k}")
+    rows = table.signs
+    if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
+        raise ValueError(f"sign rows must form an {n + 1} x {n + 1} grid")
+    if any(rows[0]) or any(row[0] for row in rows):
+        raise ValueError("row 0 and column 0 name no basis element and must be zero")
+    for i, (row, column) in enumerate(zip(rows, zip(*rows))):
+        if i == 0:
+            continue
+        if row[i]:
+            raise ValueError(f"diagonal cell ({i},{i}) must be zero")
+        if row.count(1) + row.count(-1) != n - 1:
+            j = next(j for j, s in enumerate(row) if j not in (0, i) and s not in (1, -1))
+            if row[j] == 0:
+                raise ValueError(f"off-diagonal cell ({i},{j}) must be nonzero")
+            raise ValueError(f"cell ({i},{j}) has sign {row[j]}, expected -1 or 1")
+        if column != tuple(-s for s in row):
+            j = next(j for j, s in enumerate(row) if column[j] != -s)
+            raise ValueError(f"cells ({i},{j}) and ({j},{i}) are not opposite")
+
+
+def reference_double(rows):
+    """``_double`` with per-cell negation and ``zip`` columns."""
+    m = len(rows)
+    columns = [array("b", c) for c in zip(*rows)]
+    out = [array("b", bytes(2 * m))]
+    for i in range(1, m):
+        right = array("b", [-s for s in rows[i]])
+        right[0], right[i] = 1, -1
+        out.append(rows[i] + right)
+    out.append(array("b", [0] + [-1] * (m - 1) + [0] + [1] * (m - 1)))
+    for a in range(1, m):
+        left = columns[a]
+        left[a] = 1
+        right = array("b", [-s for s in rows[a]])
+        right[0] = -1
+        out.append(left + right)
+    return out
+
+
+def _verdict(check, table):
+    try:
+        check(table)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# SHA-256 of the joined sign rows of build_table(k), for k = 1..10.
+SIGN_ROW_DIGESTS = {
+    1: "0b984433d92b9607afc364844c7e69694d2ca28cafedcd7e7f5bf7d1e58aca76",
+    2: "83349fb946aa13f364f035d501cfb61e1dd700fcfb144ca1e5d6540255bc3843",
+    3: "847f9ca918b803f89be8861f7d88dd23ff3cd4d0988afafbbad2214ccfabf424",
+    4: "a0dd269766d2d1657e00f7f2561d951b1ad9e5752ecf64214398ab9a0568e61a",
+    5: "f791c63b8e8c123ef2dbc96d3203c94a1cf83c392302578cb14d4c57cd32ce8f",
+    6: "10a651415ff14b4ff2a379de586cbaf778646b0e9f7f0e0db31167d98443fc0f",
+    7: "884a0bad98d46435b0cc10d0bc3fa523414ee44fa621bf601435b38e55ee72ea",
+    8: "ed1dc25ba2a4da61060f766608abf1e3f688db1c7c60a43bdf6b02b10bf923a0",
+    9: "c3c7f8a64dd813277111aa2bdb5906447010604ae14ddb2aafb0b8efc6fcc653",
+    10: "b2e0e2401c89166491493fe8694ed894009a8586c75aadf54a388b880c4ea8d9",
+}
+
+
+class TestByteKernels:
+    """The byte-operation ``validate`` and ``_double`` against per-cell loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_validate_matches_reference_on_tampered_tables(self, data):
+        table = cached_table(data.draw(st.integers(1, 4)))
+        rows = [array("b", r) for r in table.signs]
+        cell = st.integers(0, table.n)
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows[data.draw(cell)][data.draw(cell)] = data.draw(st.integers(-2, 2))
+        tampered = MulTable(table.k, table.n, tuple(rows))
+        assert _verdict(MulTable.validate, tampered) == _verdict(reference_validate, tampered)
+
+    def test_double_matches_reference_up_to_level_seven(self):
+        rows = ref = [array("b", [0])]
+        for _ in range(8):  # levels 0..7
+            rows, ref = _double(rows), reference_double(ref)
+            assert rows == ref
+
+    @pytest.mark.parametrize("k", range(1, MAX_LEVEL + 1))
+    def test_sign_row_digests(self, k):
+        digest = hashlib.sha256(b"".join(build_table(k).signs)).hexdigest()
+        assert digest == SIGN_ROW_DIGESTS[k]
 
 
 def reference_product(k, u, v):
