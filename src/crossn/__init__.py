@@ -56,47 +56,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BasisWord",
-    "AxiomReport",
-    "DimensionVerdict",
-    "DOUBLE",
-    "EXACT",
-    "MulTable",
-    "ProductUnderTest",
-    "RewriteStep",
-    "RewriteTrace",
-    "Scalar",
-    "SignedBasis",
-    "Vector",
-    "Witness",
-    "build_basis",
-    "build_table",
-    "check_bilinear",
-    "check_identities",
-    "check_perpendicular",
-    "check_pythagorean",
-    "classify_dimensions",
-    "counterexample_vectors",
-    "cross3",
-    "cross3_product",
-    "cross7",
-    "cross7_product",
-    "det_product",
-    "dot",
-    "expected_verdict",
-    "format_vector",
-    "normalize_product",
-    "normalize_product_traced",
-    "padded_cross",
-    "padded_product",
-    "parse_vector",
-    "product_for_table",
-    "replay",
-    "table_from_json",
-    "table_product",
-    "table_to_csv",
-    "table_to_json",
-    "table_to_markdown",
-]

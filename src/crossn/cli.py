@@ -39,7 +39,7 @@ FAMILIES = {
         lambda n: n >= 3, "padded needs --n >= 3", lambda n: verify.padded_product(n), None
     ),
 }
-FORMATS = ("md", "csv", "json")
+FORMATS = {"md": "markdown", "csv": "csv", "json": "json"}
 AXIOM_CHOICES = ("perpendicular", "pythagorean", "bilinear", "identities", "all")
 
 
@@ -108,12 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_table(args, parser) -> Tuple[str, int]:
     if not 1 <= args.k <= symbolic.MAX_LEVEL:
         parser.error(f"--k must be in 1..{symbolic.MAX_LEVEL}")
-    table = symbolic.build_table(args.k)
-    if args.format == "md":
-        return symbolic.table_to_markdown(table), 0
-    if args.format == "csv":
-        return symbolic.table_to_csv(table), 0
-    return symbolic.table_to_json(table), 0
+    serialise = getattr(symbolic, f"table_to_{FORMATS[args.format]}")
+    return serialise(symbolic.build_table(args.k)), 0
 
 
 def cmd_cross(args, parser) -> Tuple[str, int]:
@@ -185,11 +181,8 @@ def cmd_verify(args, parser) -> Tuple[str, int]:
 
     reports: List[verify.AxiomReport] = []
     for axiom in axioms:
-        if axiom == "identities":
-            reports.extend(verify.check_identities(product, args.samples, args.seed))
-        else:
-            check = getattr(verify, f"check_{axiom}")
-            reports.append(check(product, args.samples, args.seed))
+        found = getattr(verify, f"check_{axiom}")(product, args.samples, args.seed)
+        reports += found if axiom == "identities" else [found]
 
     status = 0
     for report in reports:
@@ -332,22 +325,30 @@ def _fail_output(parser, path: str, exc: OSError) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.output is not None:
-        try:
-            _check_output_path(args.output)
-        except OSError as exc:
-            _fail_output(parser, args.output, exc)
-    text, status = globals()[f"cmd_{args.command}"](args, parser)
-    if args.output is not None:
-        try:
-            _write_output(args.output, text + "\n")
-        except OSError as exc:
-            _fail_output(parser, args.output, exc)
-    else:
-        print(text)
-    return status
+    # Exact values may pass int's str limit (4300 digits, Python 3.10.7 on).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.output is not None:
+            try:
+                _check_output_path(args.output)
+            except OSError as exc:
+                _fail_output(parser, args.output, exc)
+        text, status = globals()[f"cmd_{args.command}"](args, parser)
+        if args.output is not None:
+            try:
+                _write_output(args.output, text + "\n")
+            except OSError as exc:
+                _fail_output(parser, args.output, exc)
+        else:
+            print(text)
+        return status
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -99,12 +99,8 @@ class BasisWord:
         """Binary encoding: generator b contributes 2**b."""
         return sum(1 << b for b in self.generators)
 
-    def tree(self) -> Tree:
-        """Canonical nesting: largest generator outermost."""
-        return _word_tree(self.index)
-
     def __str__(self) -> str:
-        return tree_str(self.tree())
+        return tree_str(_word_tree(self.index))
 
 
 def _word_tree(index: int) -> Tree:
@@ -567,7 +563,10 @@ def table_from_json(text: str) -> MulTable:
     integer (not a bool), cell (i, j) must be 0 on the diagonal and +-(i ^ j)
     off it, and the result must pass ``validate``.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("table document is nested too deeply") from exc
     try:
         k = doc["k"]
         n = doc["n"]

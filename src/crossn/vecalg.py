@@ -137,13 +137,6 @@ class Vector:
         zero = zero_scalar(mode)
         return cls._of(tuple(one if j == i else zero for j in range(1, dim + 1)), mode)
 
-    @classmethod
-    def zeros(cls, dim: int, mode: str = EXACT) -> "Vector":
-        _check_mode(mode)
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
-        return cls._of((zero_scalar(mode),) * dim, mode)
-
     @property
     def dim(self) -> int:
         return len(self.coords)

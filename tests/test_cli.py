@@ -9,7 +9,9 @@ Core claims:
     - classify lists the verdict per level and the surviving dimensions
     - exit codes: 0 ok, 1 verdict mismatch (verify, classify and
       counterexample), 2 usage errors with their exact text
-    - exact-mode output never contains decimal approximations
+    - exact-mode output never contains decimal approximations, and prints
+      results past int's 4300-digit str limit; main leaves that limit as
+      it found it
     - identical invocations are byte-identical, and the reports of a fixed
       set of commands keep their recorded sha256
 """
@@ -20,6 +22,8 @@ import hashlib
 import json
 import os
 import stat
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -27,7 +31,7 @@ import pytest
 from crossn import cli, verify
 from crossn.cli import main
 from crossn.symbolic import build_table, table_from_json, table_to_markdown
-from crossn.vecalg import Vector
+from crossn.vecalg import Vector, cross3
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,6 +132,25 @@ class TestCrossCommand:
             "--product", "det",
         )
         assert out.strip() == "-3,6,-3"
+
+    @pytest.mark.parametrize("product", ["cross3", "det", "table", "padded"])
+    def test_results_past_the_int_str_limit(self, capsys, product):
+        # 3000-digit coordinates multiply to a 6000-digit one, past int's
+        # 4300-digit str limit (Python 3.10.7 on).  main lifts the limit for
+        # its own call only, also when it ends in a usage error.
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = digit_limit()
+        big = 10**3000 - 1
+        u, v = f"{'9' * 3000},1,0", f"0,{'9' * 3000},1"
+        status, out = run(capsys, "cross", "--n", "3", "--u", u, "--v", v, "--product", product)
+        assert status == 0
+        assert digit_limit() == before
+        # Decimal reads the printed literals without int's str limit.
+        printed = Vector.exact(int(Decimal(c)) for c in out.strip().split(","))
+        assert printed == cross3(Vector.exact([big, 1, 0]), Vector.exact([0, big, 1]))
+        assert run_usage_error(capsys, "cross", "--n", "4", "--u", u, "--v", v,
+                               "--product", product) == 2
+        assert digit_limit() == before
 
     def test_float_mode(self, capsys):
         status, out = run(

@@ -24,7 +24,9 @@ Core claims:
     - the byte-operation validate and _double agree with the per-cell
       reference loops: the same verdict and message on tampered tables, the
       same rows at every level up to 7
-    - markdown/CSV/JSON serializations match the goldens and round-trip
+    - markdown/CSV/JSON serializations match the goldens and round-trip,
+      and table_from_json rejects a bad document, a too deeply nested one
+      included, with ValueError
     - the level >= 3 witness pair is e3 + e10 and e6 - e15, zero-padded
 """
 
@@ -719,6 +721,11 @@ class TestSerialization:
         cells = [[0, 3, -2], [3, 0, 1], [2, -1, 0]]
         with pytest.raises(ValueError, match="not opposite"):
             table_from_json(json.dumps({"k": 1, "n": 3, "cells": cells}))
+        # Nesting too deep for json.loads, bare and as the cells value.
+        deep = "[" * 100000 + "]" * 100000
+        for text in (deep, '{"k": 1, "n": 3, "cells": %s}' % deep):
+            with pytest.raises(ValueError, match="^table document is nested too deeply$"):
+                table_from_json(text)
 
     def test_markdown_uses_minus_sign_and_labels(self):
         text = table_to_markdown(build_table(1))

@@ -96,7 +96,7 @@ class TestVectorBasics:
     def test_unit_and_zeros(self):
         e2 = Vector.unit(4, 2)
         assert e2.coords == (0, 1, 0, 0)
-        assert Vector.zeros(3).is_zero()
+        assert Vector([0] * 3).is_zero()
         with pytest.raises(ValueError):
             Vector.unit(3, 4)
 
@@ -341,8 +341,8 @@ class TestTableProduct:
 
         table = build_table(2)
         u = Vector.exact([1, 2, 3, 4, 5, 6, 7])
-        assert table_product(table, u, Vector.zeros(7)).is_zero()
-        assert table_product(table, Vector.zeros(7), u).is_zero()
+        assert table_product(table, u, Vector([0] * 7)).is_zero()
+        assert table_product(table, Vector([0] * 7), u).is_zero()
 
     def test_dimension_mismatch_with_table(self):
         from crossn.symbolic import build_table
@@ -482,7 +482,7 @@ class TestIntegerKernels:
             u = Vector([1, -2, 3, 0], mode)
             v = Vector([0, 5, -1, 2], mode)
             for out in (u + v, u - v, -u, u.scaled(3), Vector.unit(4, 2, mode),
-                        Vector.zeros(4, mode), padded_cross(u, v)):
+                        Vector([0] * 4, mode), padded_cross(u, v)):
                 assert out.mode == mode
                 assert all(type(c) is scalar for c in out.coords)
 
@@ -490,7 +490,7 @@ class TestIntegerKernels:
         with pytest.raises(ValueError, match="unknown scalar mode"):
             Vector.unit(3, 1, mode="bogus")
         with pytest.raises(ValueError, match="unknown scalar mode"):
-            Vector.zeros(3, "bogus")
+            Vector([0], "bogus")
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -301,7 +301,7 @@ class TestMemo:
             e1.scaled(2),
             e1.scaled(Fraction(1, 2)),
             e1 + Vector.unit(7, 2),
-            Vector.zeros(7),
+            Vector([0] * 7),
         ]
         for x in others:
             for u, v in ((x, e1), (e1, x)):
