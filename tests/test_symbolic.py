@@ -257,6 +257,30 @@ class TestTracedNormalizer:
             "(u0 × u2) × (u1 × u2)  =  −(u0 × u1)   [pair-collapse]"
         )
 
+    def test_multi_step_rendering(self):
+        _, trace = normalize_product_traced(13, 11, 3)
+        assert str(trace) == "\n".join([
+            "((u0 × u2) × u3) × ((u0 × u1) × u3)",
+            "  =  −((u0 × u2) × (u0 × u1))   [pair-collapse]",
+            "  =  (u0 × u1) × (u0 × u2)   [antisymmetry]",
+            "  =  −(((u0 × u1) × u0) × u2)   [shift]",
+            "  =  (u0 × (u0 × u1)) × u2   [antisymmetry]",
+            "  =  −(u1 × u2)   [cancellation]",
+        ])
+
+    def test_trace_text_digest(self):
+        # Every trace at levels 0-4, with its result, as rendered text.
+        digest = hashlib.sha256()
+        for k in range(5):
+            n = 2 ** (k + 1) - 1
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    r, trace = normalize_product_traced(i, j, k)
+                    digest.update(f"{k} {i} {j} {r.sign} {r.index}\n{trace}\n".encode())
+        assert digest.hexdigest() == (
+            "fed918c5642276d49fd051789057c5208d61501798cbf87dc91bc4b86055d77c"
+        )
+
     def test_tampered_trace_fails_replay(self):
         result, trace = normalize_product_traced(5, 6, 2)
         flipped = SignedBasis(-result.sign, result.index)
