@@ -75,8 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser("cross", help="multiply two vectors")
     p_cross.add_argument("--n", type=int, required=True, help="dimension")
-    p_cross.add_argument("--u", required=True, help="first vector, e.g. 1,-2/3,0")
-    p_cross.add_argument("--v", required=True, help="second vector")
+    p_cross.add_argument(
+        "--u", required=True, help="first vector, e.g. 1,-2/3,0 (--u=-1,2,0 if it starts with -)"
+    )
+    p_cross.add_argument("--v", required=True, help="second vector (--v=-4,5,6 likewise)")
     p_cross.add_argument("--product", choices=[*FAMILIES, "det"], required=True)
 
     p_verify = sub.add_parser("verify", help="check axioms against a product")

@@ -27,8 +27,8 @@ for e_i x e_j = s(i, j) e_(i ^ j), and the index is implied, never stored.
 once per cell and reading the recursive sub-sign from the rows of the level
 below; ``SignedBasis`` cells exist only on demand (``entry``, ``cells``).
 
-``normalize_product_traced`` additionally records every rewrite step so the
-whole reduction chain, e.g.
+``normalize_product_traced`` additionally records every rewrite step, as the
+rule and the expression it rewrites to, so the whole reduction chain, e.g.
 
     (u0 x u2) x (u1 x u2)  ->  -((u0 x u1))  =  -e3
 
@@ -243,16 +243,13 @@ def expr_str(expr: Expr) -> str:
 @dataclass(frozen=True)
 class RewriteStep:
     rule: str
-    before: Expr
     after: Expr
-
-    def __str__(self) -> str:
-        return f"{expr_str(self.before)}  =  {expr_str(self.after)}   [{self.rule}]"
 
 
 @dataclass(frozen=True)
 class RewriteTrace:
-    """Full reduction chain from a product of two basis words to normal form."""
+    """Full reduction chain from a product of two basis words to normal form:
+    ``initial``, then each step's rule and the expression it rewrites to."""
 
     initial: Expr
     steps: Tuple[RewriteStep, ...]
@@ -265,27 +262,25 @@ class RewriteTrace:
     def replay(self) -> bool:
         """Re-check the trace against an independent evaluation.
 
-        Verifies that consecutive steps chain, that every step cites a known
-        rule and preserves the value of the expression (evaluated through the
-        index recursion, not the trace machinery), and that the final
-        expression denotes exactly ``result``.
+        Verifies that every step cites a known rule and preserves the value
+        of the expression (evaluated through the index recursion, not the
+        trace machinery), and that the final expression is a canonical word
+        denoting exactly ``result``.
 
-        Each expression is evaluated once: a step's ``before`` must equal the
-        expression reached so far, so its value is the one carried along, and
-        comparing each ``after`` with it checks every step's equality.
+        A step stores only the expression it rewrites to; the one it rewrites
+        is the expression reached so far, so there is no chain left to check.
+        Each ``after`` is evaluated once and compared with the value carried
+        from ``initial``.
         """
-        current, value = self.initial, _eval_expr(self.initial)
+        value = _eval_expr(self.initial)
         if value != (self.result.sign, self.result.index):
             return False
         for step in self.steps:
             if step.rule not in RULES:
                 return False
-            if step.before != current:
-                return False
             if _eval_expr(step.after) != value:
                 return False
-            current = step.after
-        sign, tree = current
+        sign, tree = self.final
         if sign == 0:
             return self.result.is_zero
         if not _is_canonical_word(tree):
@@ -349,21 +344,15 @@ def _reduce_traced(sign, left, right, ctx, steps) -> Expr:
     first), so emitted steps always show the whole expression.
     """
 
-    def emit(rule, s0, t0, s1, t1):
-        steps.append(
-            RewriteStep(
-                rule,
-                (s0, _embed(t0, ctx)),
-                ZERO_EXPR if s1 == 0 else (s1, _embed(t1, ctx)),
-            )
-        )
+    def emit(rule, s, t):
+        steps.append(RewriteStep(rule, (s, _embed(t, ctx))))
 
     if left == right:
-        emit(RULE_ANTISYMMETRY, sign, (left, right), 0, None)
+        steps.append(RewriteStep(RULE_ANTISYMMETRY, ZERO_EXPR))
         return ZERO_EXPR
 
     if _top_generator(left) > _top_generator(right):
-        emit(RULE_ANTISYMMETRY, sign, (left, right), -sign, (right, left))
+        emit(RULE_ANTISYMMETRY, -sign, (right, left))
         sign, left, right = -sign, right, left
 
     top = _top_generator(right)
@@ -374,27 +363,27 @@ def _reduce_traced(sign, left, right, ctx, steps) -> Expr:
             return (sign, (left, right))
         rsub, _ = right
         if left == rsub:
-            emit(RULE_CANCELLATION, sign, (left, right), -sign, top)
+            emit(RULE_CANCELLATION, -sign, top)
             return (-sign, top)
-        emit(RULE_SHIFT, sign, (left, right), -sign, ((left, rsub), top))
+        emit(RULE_SHIFT, -sign, ((left, rsub), top))
         inner = _reduce_traced(-sign, left, rsub, (top,) + ctx, steps)
         return (inner[0], (inner[1], top))
 
     # Both operands contain the top generator.
     if isinstance(left, int):
         rsub, _ = right
-        emit(RULE_ANTISYMMETRY, sign, (left, right), -sign, (top, (top, rsub)))
-        emit(RULE_CANCELLATION, -sign, (top, (top, rsub)), sign, rsub)
+        emit(RULE_ANTISYMMETRY, -sign, (top, (top, rsub)))
+        emit(RULE_CANCELLATION, sign, rsub)
         return (sign, rsub)
     if isinstance(right, int):
         lsub, _ = left
-        emit(RULE_ANTISYMMETRY, sign, (left, right), -sign, (right, left))
-        emit(RULE_ANTISYMMETRY, -sign, (top, (lsub, top)), sign, (top, (top, lsub)))
-        emit(RULE_CANCELLATION, sign, (top, (top, lsub)), -sign, lsub)
+        emit(RULE_ANTISYMMETRY, -sign, (right, left))
+        emit(RULE_ANTISYMMETRY, sign, (top, (top, lsub)))
+        emit(RULE_CANCELLATION, -sign, lsub)
         return (-sign, lsub)
     lsub, _ = left
     rsub, _ = right
-    emit(RULE_PAIR_COLLAPSE, sign, (left, right), -sign, (lsub, rsub))
+    emit(RULE_PAIR_COLLAPSE, -sign, (lsub, rsub))
     return _reduce_traced(-sign, lsub, rsub, ctx, steps)
 
 

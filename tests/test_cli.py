@@ -125,6 +125,24 @@ class TestCrossCommand:
         )
         assert out.strip() == "0,0,1/6"
 
+    def test_negative_leading_coordinate_needs_the_equals_form(self, capsys):
+        # argparse reads a separate "-4,5,6" as an option, not as a value.
+        status, out = run(
+            capsys,
+            "cross", "--n", "3", "--u", "1,2,3", "--v=-4,5,6",
+            "--product", "cross3",
+        )
+        assert status == 0
+        assert out == "-3,-18,13\n"
+        assert (
+            run_usage_error(
+                capsys,
+                "cross", "--n", "3", "--u", "1,2,3", "--v", "-4,5,6",
+                "--product", "cross3",
+            )
+            == 2
+        )
+
     def test_det_via_two_vectors(self, capsys):
         _, out = run(
             capsys,

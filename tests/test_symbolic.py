@@ -6,11 +6,13 @@ Core claims:
     - the generator-set encoding is a bijection onto 1..2**(k+1)-1
     - normalize_product reproduces the published 3x3 and 7x7 tables
     - the fast normalizer and the traced rewriter agree everywhere, every
-      trace replays against an independent evaluation, and a trace renders
-      as its recorded text
+      trace replays against an independent evaluation, a trace renders as
+      its recorded text, and the text of every trace at levels 0..4 hashes
+      to a pinned SHA-256 digest
     - the looped sign kernel equals the recursive one, and the replay that
-      evaluates each expression once agrees with the one that evaluates both
-      sides of every step, on honest and on tampered traces
+      evaluates each expression once agrees with the one that evaluates the
+      previous expression and the after of every step, on honest and on
+      tampered traces
     - the XOR index law and cell antisymmetry hold exhaustively (checked,
       never assumed)
     - every sign row cell equals normalize_product (all cells up to k = 5,
@@ -253,9 +255,6 @@ class TestTracedNormalizer:
         assert str(trace) == (
             "(u0 × u2) × (u1 × u2)\n  =  −(u0 × u1)   [pair-collapse]"
         )
-        assert str(trace.steps[0]) == (
-            "(u0 × u2) × (u1 × u2)  =  −(u0 × u1)   [pair-collapse]"
-        )
 
     def test_multi_step_rendering(self):
         _, trace = normalize_product_traced(13, 11, 3)
@@ -289,25 +288,30 @@ class TestTracedNormalizer:
         # Each tampered trace below fails only the check its comment names.
         (step,) = trace.steps
         flip = (-step.after[0], step.after[1])
-        # a step whose before is not the expression reached so far
-        unchained = (RewriteStep(step.rule, step.after, step.after),)
         # two steps that each change the value, ending at the right word
-        revalued = (
-            RewriteStep(step.rule, step.before, flip),
-            RewriteStep(step.rule, flip, step.after),
-        )
-        tampered = [RewriteTrace(trace.initial, s, result) for s in (unchained, revalued)]
+        revalued = (RewriteStep(step.rule, flip), RewriteStep(step.rule, step.after))
+        tampered = [RewriteTrace(trace.initial, revalued, result)]
         # (u1 × u2) × u0 = +e7 has the result's sign and index, but it is no
         # canonical word, so a trace may not stop there.
         result, trace = normalize_product_traced(6, 1, 2)
         tampered.append(RewriteTrace(trace.initial, (), result))
+        result, trace = normalize_product_traced(13, 11, 3)
+        *middle, last = trace.steps
+        # an after of another value: u0 × u1 = e3, not −e6
+        replaced = (middle[0], RewriteStep(middle[1].rule, flip), *middle[2:], last)
+        # the last step dropped, or its after replaced by an expression of the
+        # right value that is no canonical word; a middle step dropped leaves
+        # a chain of equal values, which replays
+        stopped = (*middle, RewriteStep(last.rule, middle[-1].after))
+        for steps in (replaced, tuple(middle), stopped):
+            tampered.append(RewriteTrace(trace.initial, steps, result))
         for bad in tampered:
             assert not bad.replay(), bad
 
     def test_step_with_unknown_rule_fails_replay(self):
         _, trace = normalize_product_traced(5, 6, 2)
         step = trace.steps[0]
-        bad_step = RewriteStep("made-up", step.before, step.after)
+        bad_step = RewriteStep("made-up", step.after)
         bad = RewriteTrace(trace.initial, (bad_step,) + trace.steps[1:], trace.result)
         assert not bad.replay()
 
@@ -342,7 +346,8 @@ def recursive_norm_indices(i, j):
 
 def reference_replay(trace):
     """The reference for ``RewriteTrace.replay``: the same checks, evaluating
-    both sides of every step through a nested ``ev`` and the recursive kernel.
+    both the previous expression and the ``after`` of every step through a
+    nested ``ev`` and the recursive kernel, 2s + 1 evaluations for s steps.
     """
 
     def eval_expr(expr):
@@ -362,18 +367,16 @@ def reference_replay(trace):
         s, m = ev(tree)
         return (0, 0) if s == 0 else (sign * s, m)
 
-    current = trace.initial
-    if eval_expr(current) != (trace.result.sign, trace.result.index):
+    previous = trace.initial
+    if eval_expr(previous) != (trace.result.sign, trace.result.index):
         return False
     for step in trace.steps:
         if step.rule not in RULES:
             return False
-        if step.before != current:
+        if eval_expr(previous) != eval_expr(step.after):
             return False
-        if eval_expr(step.before) != eval_expr(step.after):
-            return False
-        current = step.after
-    sign, tree = current
+        previous = step.after
+    sign, tree = previous
     if sign == 0:
         return trace.result.is_zero
     if not _is_canonical_word(tree):
@@ -398,7 +401,7 @@ class TestFastReplayAgainstReference:
         steps = list(trace.steps)
         tampers = ["none", "flip-result"]
         if steps:
-            tampers += ["flip-after", "flip-after-and-next-before", "replace-before", "drop-step"]
+            tampers += ["flip-after", "flip-two-afters", "replace-after", "drop-step"]
         tamper = data.draw(st.sampled_from(tampers), label="tamper")
         if tamper == "flip-result":
             result = SignedBasis(-result.sign, result.index)
@@ -406,17 +409,19 @@ class TestFastReplayAgainstReference:
             t = data.draw(st.integers(0, len(steps) - 1), label="step")
             step = steps[t]
             flipped = (-step.after[0], step.after[1])
-            if tamper.startswith("flip-after"):
-                steps[t] = RewriteStep(step.rule, step.before, flipped)
-                if tamper == "flip-after-and-next-before" and t + 1 < len(steps):
-                    # The chain still holds, so only the values can tell.
-                    steps[t + 1] = RewriteStep(steps[t + 1].rule, flipped, steps[t + 1].after)
-            elif tamper == "replace-before":
+            if tamper.startswith("flip-"):
+                steps[t] = RewriteStep(step.rule, flipped)
+                if tamper == "flip-two-afters" and t + 1 < len(steps):
+                    # Step t + 1 then keeps the value of the flipped step t,
+                    # so only the value between steps t - 1 and t can tell.
+                    nxt = steps[t + 1]
+                    steps[t + 1] = RewriteStep(nxt.rule, (-nxt.after[0], nxt.after[1]))
+            elif tamper == "replace-after":
                 # Any other expression of the trace, or this one with its sign flipped.
                 others = [trace.initial] + [s.after for s in trace.steps]
-                others.append((-step.before[0], step.before[1]))
-                before = data.draw(st.sampled_from(others), label="before")
-                steps[t] = RewriteStep(step.rule, before, step.after)
+                others.append(flipped)
+                after = data.draw(st.sampled_from(others), label="after")
+                steps[t] = RewriteStep(step.rule, after)
             else:
                 del steps[t]
         tampered = RewriteTrace(trace.initial, tuple(steps), result)
