@@ -32,7 +32,8 @@ rule and the expression it rewrites to, so the whole reduction chain, e.g.
 
     (u0 x u2) x (u1 x u2)  ->  -((u0 x u1))  =  -e3
 
-can be replayed and checked against an independent evaluation.
+can be replayed: each step's value is checked against an independent
+evaluation.
 """
 
 from __future__ import annotations
@@ -268,9 +269,11 @@ class RewriteTrace:
         denoting exactly ``result``.
 
         A step stores only the expression it rewrites to; the one it rewrites
-        is the expression reached so far, so there is no chain left to check.
-        Each ``after`` is evaluated once and compared with the value carried
-        from ``initial``.
+        is the expression reached so far, so there is no stored chain left to
+        compare.  Each ``after`` is evaluated once and compared with the value
+        carried from ``initial``.  Replay does not check that a step applies
+        the rule it cites: a middle step dropped, or a middle ``after``
+        replaced by another expression of the same value, still replays.
         """
         value = _eval_expr(self.initial)
         if value != (self.result.sign, self.result.index):
