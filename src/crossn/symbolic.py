@@ -26,6 +26,8 @@ for e_i x e_j = s(i, j) e_(i ^ j), and the index is implied, never stored.
 ``build_table`` fills the rows one level at a time, applying the same rules
 once per cell and reading the recursive sub-sign from the rows of the level
 below; ``SignedBasis`` cells exist only on demand (``entry``, ``cells``).
+The serialisers render rows from per-index texts: cell (i, j) picks the text
+of index i ^ j for its sign, along rows of texts permuted by ``_xor_rows``.
 
 ``normalize_product_traced`` additionally records every rewrite step, as the
 rule and the expression it rewrites to, so the whole reduction chain, e.g.
@@ -42,7 +44,9 @@ import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from itertools import chain, islice
+from operator import eq, getitem
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .vecalg import Vector
 
@@ -51,6 +55,9 @@ MAX_LEVEL = 10
 
 # Negates the bytes of a sign row: 1 and -1 (0xff) swap, 0 stays.
 _NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+
+# Turns the bytes of a "cell is positive" row into signs: 0 -> -1 (0xff).
+_SIGN = bytes.maketrans(b"\x00", b"\xff")
 
 # Rewrite rule names, as cited by trace steps.
 RULE_ANTISYMMETRY = "antisymmetry"
@@ -427,6 +434,8 @@ class MulTable:
 
     def values(self, i: int) -> List[int]:
         """Row i as the lossless integers sign * index, for columns 1..n."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"row {i} out of range 1..{self.n}")
         row = self.signs[i]
         return [row[j] * (i ^ j) for j in range(1, self.n + 1)]
 
@@ -517,35 +526,53 @@ def build_table(k: int) -> MulTable:
     return table
 
 
+def _xor_rows(items: Sequence) -> Iterator[list]:
+    """Yield row i = ``[items[i ^ j] for j in range(N)]`` for i = 1 .. N-1.
+
+    N = len(items) is a power of two.  With i = hi * w + lo, block b of row
+    i is block hi ^ b of row lo, so the rows of the w low parts are cut into
+    blocks of width w once and every row is chained together from them.
+    """
+    n = len(items)
+    w = 1 << (n.bit_length() // 2)
+    low = ([items[lo ^ j] for j in range(n)] for lo in range(w))
+    blocks = [[row[b : b + w] for b in range(0, n, w)] for row in low]
+    orders = [[hi ^ b for b in range(n // w)] for hi in range(n // w)]
+    for i in range(1, n):
+        yield list(chain.from_iterable(map(blocks[i % w].__getitem__, orders[i // w])))
+
+
+def _text_rows(table: MulTable, pos: str, neg: str) -> Iterator[Iterator[str]]:
+    """The cell texts of each row, columns 1..n: cell (i, j) picks by its sign
+    from ``("0", pos.format(m), neg.format(m))``, the triple of m = i ^ j."""
+    texts = [("0",) * 3] + [("0", pos.format(m), neg.format(m)) for m in range(1, table.n + 1)]
+    rows = zip(_xor_rows(texts), table.signs[1:])
+    return (islice(map(getitem, row, signs), 1, None) for row, signs in rows)
+
+
 def table_to_markdown(table: MulTable) -> str:
     """Markdown rendering with rows and columns labelled e1..en."""
     n = table.n
-    text = {0: "0"}
-    for m in range(1, n + 1):
-        text[m], text[-m] = f"e{m}", f"−e{m}"
-    header = "| × | " + " | ".join(text[j] for j in range(1, n + 1)) + " |"
+    header = "| × | " + " | ".join(f"e{j}" for j in range(1, n + 1)) + " |"
     rule = "| " + " | ".join("---" for _ in range(n + 1)) + " |"
     lines = [header, rule]
-    for i in range(1, n + 1):
-        cells = " | ".join(map(text.__getitem__, table.values(i)))
-        lines.append(f"| e{i} | {cells} |")
+    for i, cells in enumerate(_text_rows(table, "e{}", "−e{}"), start=1):
+        lines.append(f"| e{i} | {' | '.join(cells)} |")
     return "\n".join(lines)
 
 
 def table_to_csv(table: MulTable) -> str:
     """Plain n x n grid of signed integers (sign * index, 0 for zero)."""
-    n = table.n
-    text = {v: str(v) for v in range(-n, n + 1)}  # n**2 cells, 2n + 1 values
-    return "\n".join(",".join(map(text.__getitem__, table.values(i))) for i in range(1, n + 1))
+    return "\n".join(map(",".join, _text_rows(table, "{}", "-{}")))
 
 
 def table_to_json(table: MulTable) -> str:
     """``{"k": .., "n": .., "cells": [[..], ..]}``, as ``json.dumps`` writes it.
 
-    Written one row at a time, so the n**2 integers never exist at once.
+    Rows are rendered from per-index texts, as in CSV; no cell integer is made.
     """
-    cells = ", ".join(json.dumps(table.values(i)) for i in range(1, table.n + 1))
-    return f'{{"k": {table.k}, "n": {table.n}, "cells": [{cells}]}}'
+    rows = ", ".join("[" + ", ".join(cells) + "]" for cells in _text_rows(table, "{}", "-{}"))
+    return f'{{"k": {table.k}, "n": {table.n}, "cells": [{rows}]}}'
 
 
 def table_from_json(text: str) -> MulTable:
@@ -576,15 +603,17 @@ def table_from_json(text: str) -> MulTable:
     ):
         raise ValueError(f"cells must form an {n} x {n} grid")
     rows = [array("b", bytes(n + 1))]
-    for i, row in enumerate(raw, start=1):
+    for i, (row, index) in enumerate(zip(raw, _xor_rows(range(n + 1))), start=1):
+        del index[0]  # the document has no column 0
         # Type first: json reads true as a bool, which compares equal to 1.
-        if set(map(type, row)) != {int} or list(map(abs, row)) != [i ^ j for j in range(1, n + 1)]:
+        if set(map(type, row)) != {int} or list(map(abs, row)) != index:
             j, value = next(
                 (j, v) for j, v in enumerate(row, start=1) if type(v) is not int or abs(v) != i ^ j
             )
             expected = "0" if i == j else f"±{i ^ j}"
             raise ValueError(f"cell ({i},{j}) holds {value!r}, expected {expected}")
-        rows.append(array("b", [0] + [(v > 0) - (v < 0) for v in row]))
+        rows.append(array("b", b"\x00" + bytes(map(eq, row, index)).translate(_SIGN)))
+        rows[i][i] = 0  # the diagonal cell 0 equals its index 0
     table = MulTable(k, n, tuple(rows))
     table.validate()
     return table

@@ -19,16 +19,21 @@ Core claims:
       samples at k = 6..10, where the traced result also equals the cell and
       its trace replays), and table_product on the rows equals a per-cell
       sum through normalize_product, bit for bit in double mode
-    - the sign rows at every level 1..10 hash to pinned SHA-256 digests
+    - the sign rows at every level 1..10 hash to pinned SHA-256 digests, and
+      so do their markdown, CSV and JSON texts
+    - the XOR-row kernel behind the serializers yields the rows of the naive
+      per-row comprehension, for every power of two up to 4096 and on drawn
+      item lists
     - lower-level tables sit exactly in the top-left block of higher ones
     - MulTable.validate, the one closure check, rejects a tampered copy
       through each of its branches, and rows that are not array("b")
     - the byte-operation validate and _double agree with the per-cell
       reference loops: the same verdict and message on tampered tables, the
       same rows at every level up to 7
-    - markdown/CSV/JSON serializations match the goldens and round-trip,
-      and table_from_json rejects a bad document, a too deeply nested one
-      included, with ValueError
+    - markdown/CSV/JSON serializations match the goldens and round-trip at
+      every level, and table_from_json rejects a bad document, a too deeply
+      nested one included, with ValueError, naming the first bad cell
+    - MulTable.values rejects rows outside 1..n
     - the level >= 3 witness pair is e3 + e10 and e6 - e15, zero-padded
 """
 
@@ -39,6 +44,7 @@ import re
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -64,6 +70,7 @@ from crossn.symbolic import (
     table_to_markdown,
     _double,
     _is_canonical_word,
+    _xor_rows,
     _norm_indices,
     _tree_index,
 )
@@ -504,6 +511,14 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             table.entry(1, 4)
 
+    def test_values_bounds(self):
+        # Row 0 names no basis element; -1 would index from the end.
+        table = build_table(1)
+        for i in (0, -1, table.n + 1):
+            with pytest.raises(ValueError, match=re.escape(f"row {i} out of range 1..3")):
+                table.values(i)
+        assert [table.values(i) for i in (1, 2, 3)] == R3_CELLS
+
     def test_lower_level_embeds_in_higher(self):
         small = build_table(2)
         big = build_table(3)
@@ -597,8 +612,71 @@ SIGN_ROW_DIGESTS = {
 }
 
 
+# SHA-256 of table_to_markdown, table_to_csv and table_to_json of
+# build_table(k), for k = 1..10, as the per-cell writers produced them.
+SERIALISER_DIGESTS = {
+    1: (
+        "fdf9f77d460b820a6f47cbf76707299dd28c88e27004a5a03d1a39be1b97cec1",
+        "a6f8e01ceaaf1b1c33f10b114b920cd06296fa706ead2d59015219d31e2d88b5",
+        "06af5705aa76a3afedad78fd6e2ad8448fc989eda8ff12ea65fc46621d7a0c29",
+    ),
+    2: (
+        "71c93be0e597ec0b616794b566845327e248276e97b502a5b0a5682b5e237d4c",
+        "69b378154a13c94409695a388294375f3eef2703727d990c22a97433a42fc9de",
+        "5a4b7232db5115216307b3b22cf12077eca3ed8822ae015036b854c60755354e",
+    ),
+    3: (
+        "e7920b494a98f4a0ef0b10a4527a2766b7f6627e0bdad49fb6a85a3f8e6d22c7",
+        "f4647e81f0949d8c0f74c27621c47879fbb6469ca8e544e805a0b857d71b275f",
+        "ff28f12d199353fbdf108684850fd66eb7e5987a8b939d1fbf6105fe406a2bb9",
+    ),
+    4: (
+        "d0618c76aed525704875b334011c7d6fe8347667810c6b01f258fb756deaa7b2",
+        "28b5726e190cbfc015b2088bf9d95115c54471eaa9b0904b0957abc711392149",
+        "f42ba5291206cdfdc163c8235c7c91e9612bdd230bc8c784ad2ec9c5c9aaa57d",
+    ),
+    5: (
+        "906031ca004bcf29b0b1e7f5b97b08b83714244f617ea29ff1ea8e3026796f12",
+        "632a3d3550d05056fc5df5b861165a8dcd4f8eb292ec48060b50d33777b5dd11",
+        "1338dc44319defe552a3c4a7bc1721a04ab2bc2199b125dadfe5f17ca42d6112",
+    ),
+    6: (
+        "b5d6a90881a63d8afd4a1d3fcccac57f69431202a7a276753372fec926358148",
+        "095a43e2b5bf69465d2af2b0c52af2a2ed8baa8346da1fe027067019f97c35eb",
+        "e6e9d1f6dac2f0444f6f5ef6d0968b0645634005cb694a947eeed2906d9a8582",
+    ),
+    7: (
+        "74b7d606c7c8440224e3c5b7bff7e4b0811f18d5c3a9fb088d9285b4a39b974d",
+        "1d1bf7c015e340501205ff4dcc56bc19cf830e06a4c18b111e5c4d6e5ec80880",
+        "16e34fe436ff79d5a85ca836e00986cafee7db41dcec8dbc011499593d0a05a9",
+    ),
+    8: (
+        "f29a93721a8e72b5a068891a79d0850fae8a3daba24434b30cf0376d11ce1663",
+        "0fd3166ef1246ec54c4711f1185c67e684fc5936928b536f5c52c21b096ac6e6",
+        "7e0a7a4cacb641a894e610dcfbe81c4e2733ba22c7c1acc3732ce65ab55d63f9",
+    ),
+    9: (
+        "1230f0ac7a1fbba6e566666933f717fb02479c08c4e9191f9eccc8fbdf115def",
+        "d8859b57c6683537aeda6782591cbe1c6d8d2d5a737e70d5207acd66dea6e984",
+        "a3a2c2560ab7020cacaa334c153db8c55d514a48cbbf8fe9d4ff5a7c8d263417",
+    ),
+    10: (
+        "3e220db9d502da184c0896831d137536856d215f5638b38f9fe929b66ddf36e5",
+        "0e372a357c9165954edc57b90a878421ce51ed1521037596a7fd68fb24836ae1",
+        "8959c5413599ac1cc8e750df7d890dc7ffc0927346fd28f50a7c608b20c6b028",
+    ),
+}
+
+
+def naive_xor_rows(items):
+    """The reference path for ``_xor_rows``: one comprehension per row."""
+    n = len(items)
+    return ([items[i ^ j] for j in range(n)] for i in range(1, n))
+
+
 class TestByteKernels:
-    """The byte-operation ``validate`` and ``_double`` against per-cell loops."""
+    """The byte-operation ``validate`` and ``_double``, and the XOR-row kernel
+    behind the serialisers, against per-cell loops and pinned digests."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -621,6 +699,26 @@ class TestByteKernels:
     def test_sign_row_digests(self, k):
         digest = hashlib.sha256(b"".join(build_table(k).signs)).hexdigest()
         assert digest == SIGN_ROW_DIGESTS[k]
+
+    @pytest.mark.parametrize("k", range(1, MAX_LEVEL + 1))
+    def test_serialiser_digests(self, k):
+        table = cached_table(k)
+        texts = (table_to_markdown(table), table_to_csv(table), table_to_json(table))
+        digests = tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts)
+        assert digests == SERIALISER_DIGESTS[k]
+
+    @pytest.mark.parametrize("p", range(13))
+    def test_xor_rows_matches_naive_rows(self, p):
+        # Every power of two from 1 to 4096, compared one row at a time; a
+        # missing or extra row meets the fill value None and fails.
+        items = [f"t{m}" for m in range(1 << p)]
+        rows = zip_longest(_xor_rows(items), naive_xor_rows(items))
+        assert all(fast == naive for fast, naive in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda p: st.lists(st.integers(), min_size=1 << p, max_size=1 << p)))
+    def test_xor_rows_matches_naive_rows_on_drawn_items(self, items):
+        assert list(_xor_rows(items)) == list(naive_xor_rows(items))
 
 
 def reference_product(k, u, v):
@@ -713,6 +811,27 @@ class TestSerialization:
         table = build_table(2)
         again = table_from_json(table_to_json(table))
         assert again == table
+
+    @pytest.mark.parametrize("k", range(1, MAX_LEVEL + 1))
+    def test_json_round_trips_at_every_level(self, k):
+        table = cached_table(k)
+        assert table_from_json(table_to_json(table)) == table
+
+    @pytest.mark.parametrize(
+        "k, i, j, value, message",
+        [
+            (1, 2, 2, 1, "cell (2,2) holds 1, expected 0"),
+            (1, 1, 2, 3.0, "cell (1,2) holds 3.0, expected ±3"),
+            (1, 2, 2, False, "cell (2,2) holds False, expected 0"),
+            # Row 13 of level 3 is chained from blocks swapped by its high bits.
+            (3, 13, 6, -22, "cell (13,6) holds -22, expected ±11"),
+        ],
+    )
+    def test_from_json_names_the_bad_cell(self, k, i, j, value, message):
+        doc = json.loads(table_to_json(build_table(k)))
+        doc["cells"][i - 1][j - 1] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            table_from_json(json.dumps(doc))
 
     def test_json_document_shape(self):
         doc = json.loads(table_to_json(build_table(1)))
