@@ -44,6 +44,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, islice
 from operator import eq, getitem
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -80,6 +81,12 @@ ZERO_EXPR: Expr = (0, None)
 
 def _index_bound(k: int) -> int:
     return (1 << (k + 1)) - 1
+
+
+def _check_level(k: int, low: int) -> None:
+    """Reject a level outside low..MAX_LEVEL or not an int; a bool is not one."""
+    if type(k) is not int or not low <= k <= MAX_LEVEL:
+        raise ValueError(f"level must be in {low}..{MAX_LEVEL}, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +134,7 @@ def build_basis(k: int) -> List[BasisWord]:
     level k-1 words each multiplied by u_k.  This coincides with increasing
     index order.
     """
-    if not 0 <= k <= MAX_LEVEL:
-        raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {k}")
+    _check_level(k, 0)
     words = [BasisWord(frozenset({0}))]
     for b in range(1, k + 1):
         words = (
@@ -177,8 +183,7 @@ class SignedBasis:
 
 
 def _check_level_and_indices(i: int, j: int, k: int) -> None:
-    if not 0 <= k <= MAX_LEVEL:
-        raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {k}")
+    _check_level(k, 0)
     bound = _index_bound(k)
     for name, idx in (("i", i), ("j", j)):
         if not 1 <= idx <= bound:
@@ -222,8 +227,7 @@ def _norm_indices(i: int, j: int) -> Tuple[int, int]:
 def normalize_product(i: int, j: int, k: int) -> SignedBasis:
     """Product of basis elements e_i and e_j at level k, as a signed basis."""
     _check_level_and_indices(i, j, k)
-    s, m = _norm_indices(i, j)
-    return SignedBasis.zero() if s == 0 else SignedBasis(s, m)
+    return SignedBasis(*_norm_indices(i, j))
 
 
 # --- traced rewriting ------------------------------------------------------
@@ -293,9 +297,7 @@ class RewriteTrace:
         sign, tree = self.final
         if sign == 0:
             return self.result.is_zero
-        if not _is_canonical_word(tree):
-            return False
-        return (sign, _tree_index(tree)) == (self.result.sign, self.result.index)
+        return (sign, _word_index(tree)) == (self.result.sign, self.result.index)
 
     def __str__(self) -> str:
         lines = [expr_str(self.initial)]
@@ -303,19 +305,15 @@ class RewriteTrace:
         return "\n".join(lines)
 
 
-def _tree_index(tree: Tree) -> int:
+def _word_index(tree: Tree) -> Optional[int]:
+    """The index of a canonical word, or None for a tree that is not one."""
     if isinstance(tree, int):
         return 1 << tree
-    return _tree_index(tree[0]) | _tree_index(tree[1])
-
-
-def _is_canonical_word(tree: Tree) -> bool:
-    if isinstance(tree, int):
-        return True
     left, right = tree
-    if not isinstance(right, int):
-        return False
-    return _is_canonical_word(left) and _tree_index(left) < (1 << right)
+    index = _word_index(left)
+    if index is None or not isinstance(right, int) or index >= 1 << right:
+        return None
+    return index | 1 << right
 
 
 def _eval_tree(t: Tree) -> Tuple[int, int]:
@@ -404,9 +402,8 @@ def normalize_product_traced(i: int, j: int, k: int) -> Tuple[SignedBasis, Rewri
     initial: Expr = (1, (li, rj))
     steps: List[RewriteStep] = []
     final = _reduce_traced(1, li, rj, (), steps)
-    result = SignedBasis(final[0], _tree_index(final[1])) if final[0] else SignedBasis.zero()
-    trace = RewriteTrace(initial, tuple(steps), result)
-    return result, trace
+    result = SignedBasis(final[0], _word_index(final[1])) if final[0] else SignedBasis.zero()
+    return result, RewriteTrace(initial, tuple(steps), result)
 
 
 # --- multiplication tables -------------------------------------------------
@@ -416,14 +413,18 @@ def normalize_product_traced(i: int, j: int, k: int) -> Tuple[SignedBasis, Rewri
 class MulTable:
     """The n x n table of signed basis cells defining a bilinear product.
 
+    A table is its level k and its sign rows; n = 2**(k+1) - 1 follows from k.
     ``signs[i][j]`` is the sign s in {-1, 0, 1} of e_i x e_j = s e_(i ^ j)
     for 1 <= i, j <= n.  Row 0 and column 0 name no basis element and stay
     zero, so that rows and columns are indexed by i and j themselves.
     """
 
     k: int
-    n: int
     signs: Tuple[array, ...]
+
+    @cached_property
+    def n(self) -> int:
+        return _index_bound(self.k)
 
     def entry(self, i: int, j: int) -> SignedBasis:
         """Cell for e_i x e_j (1-indexed)."""
@@ -431,13 +432,6 @@ class MulTable:
             raise ValueError(f"cell ({i},{j}) out of range 1..{self.n}")
         s = self.signs[i][j]
         return SignedBasis(s, i ^ j) if s else SignedBasis.zero()
-
-    def values(self, i: int) -> List[int]:
-        """Row i as the lossless integers sign * index, for columns 1..n."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"row {i} out of range 1..{self.n}")
-        row = self.signs[i]
-        return [row[j] * (i ^ j) for j in range(1, self.n + 1)]
 
     @property
     def cells(self) -> Iterator[Tuple[SignedBasis, ...]]:
@@ -456,8 +450,6 @@ class MulTable:
         must equal row i translated by ``_NEG``; a failure walks the row.
         """
         n = self.n
-        if n != _index_bound(self.k):
-            raise ValueError(f"n={n} does not match level k={self.k}")
         rows = self.signs
         if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
             raise ValueError(f"sign rows must form an {n + 1} x {n + 1} grid")
@@ -516,12 +508,11 @@ def _double(rows: List[array]) -> List[array]:
 
 def build_table(k: int) -> MulTable:
     """Multiplication table for the level-k basis (n = 2**(k+1) - 1)."""
-    if not 1 <= k <= MAX_LEVEL:
-        raise ValueError(f"level must be in 1..{MAX_LEVEL}, got {k}")
+    _check_level(k, 1)
     rows = [array("b", [0])]  # below level 0 there is only index 0
     for _ in range(k + 1):
         rows = _double(rows)
-    table = MulTable(k, _index_bound(k), tuple(rows))
+    table = MulTable(k, tuple(rows))
     table.validate()
     return table
 
@@ -594,8 +585,7 @@ def table_from_json(text: str) -> MulTable:
         raise ValueError(f"table document must carry k, n and cells: {exc}") from exc
     if type(k) is not int or type(n) is not int:
         raise ValueError("k and n must be integers")
-    if not 1 <= k <= MAX_LEVEL:
-        raise ValueError(f"level must be in 1..{MAX_LEVEL}, got {k}")
+    _check_level(k, 1)
     if n != _index_bound(k):
         raise ValueError(f"n={n} does not match level k={k}")
     if not isinstance(raw, list) or len(raw) != n or any(
@@ -614,15 +604,12 @@ def table_from_json(text: str) -> MulTable:
             raise ValueError(f"cell ({i},{j}) holds {value!r}, expected {expected}")
         rows.append(array("b", b"\x00" + bytes(map(eq, row, index)).translate(_SIGN)))
         rows[i][i] = 0  # the diagonal cell 0 equals its index 0
-    table = MulTable(k, n, tuple(rows))
+    table = MulTable(k, tuple(rows))
     table.validate()
     return table
 
 
 # --- the dimension >= 15 counterexample ------------------------------------
-
-_U_WORDS = (frozenset({0, 1}), frozenset({1, 3}))
-_V_WORDS = (frozenset({1, 2}), frozenset({0, 1, 2, 3}))
 
 
 def counterexample_vectors(k: int) -> Tuple[Vector, Vector]:
@@ -634,14 +621,9 @@ def counterexample_vectors(k: int) -> Tuple[Vector, Vector]:
     Their table product vanishes while u and v are orthogonal with squared
     norm 2, so the identity reads 0 + 0 on one side and 4 on the other.
     """
-    if not 3 <= k <= MAX_LEVEL:
-        raise ValueError(f"counterexample needs level 3..{MAX_LEVEL}, got {k}")
-    n = _index_bound(k)
-    u_coords = [Fraction(0)] * n
-    v_coords = [Fraction(0)] * n
-    for gens in _U_WORDS:
-        u_coords[BasisWord(gens).index - 1] = Fraction(1)
-    pos, neg = _V_WORDS
-    v_coords[BasisWord(pos).index - 1] = Fraction(1)
-    v_coords[BasisWord(neg).index - 1] = Fraction(-1)
-    return Vector(u_coords), Vector(v_coords)
+    _check_level(k, 3)
+    u = [Fraction(0)] * _index_bound(k)
+    v = [Fraction(0)] * _index_bound(k)
+    u[3 - 1] = u[10 - 1] = Fraction(1)
+    v[6 - 1], v[15 - 1] = Fraction(1), Fraction(-1)
+    return Vector(u), Vector(v)

@@ -33,8 +33,13 @@ Core claims:
     - markdown/CSV/JSON serializations match the goldens and round-trip at
       every level, and table_from_json rejects a bad document, a too deeply
       nested one included, with ValueError, naming the first bad cell
-    - MulTable.values rejects rows outside 1..n
-    - the level >= 3 witness pair is e3 + e10 and e6 - e15, zero-padded
+    - a table's n is 2**(k+1) - 1, derived from its level
+    - every function that takes a level rejects one that is not an int
+      (bools included) with the same message
+    - _word_index equals the nested recursions it replaced on drawn trees and
+      on the final expression of every trace at levels 0..4
+    - the level >= 3 witness pair is e3 + e10 and e6 - e15, zero-padded, and
+      equals the pair built from its basis words at every level 3..10
 """
 
 import hashlib
@@ -69,10 +74,10 @@ from crossn.symbolic import (
     table_to_json,
     table_to_markdown,
     _double,
-    _is_canonical_word,
     _xor_rows,
     _norm_indices,
-    _tree_index,
+    _word_index,
+    _word_tree,
 )
 from crossn.vecalg import DOUBLE, EXACT, Vector, dot, table_product
 
@@ -351,6 +356,26 @@ def recursive_norm_indices(i, j):
     return (-s, m | bit)
 
 
+def _tree_index(tree):
+    if isinstance(tree, int):
+        return 1 << tree
+    return _tree_index(tree[0]) | _tree_index(tree[1])
+
+
+def _is_canonical_word(tree):
+    if isinstance(tree, int):
+        return True
+    left, right = tree
+    if not isinstance(right, int):
+        return False
+    return _is_canonical_word(left) and _tree_index(left) < (1 << right)
+
+
+def reference_word_index(tree):
+    """The reference for ``_word_index``: the two nested recursions it replaced."""
+    return _tree_index(tree) if _is_canonical_word(tree) else None
+
+
 def reference_replay(trace):
     """The reference for ``RewriteTrace.replay``: the same checks, evaluating
     both the previous expression and the ``after`` of every step through a
@@ -391,7 +416,56 @@ def reference_replay(trace):
     return (sign, _tree_index(tree)) == (trace.result.sign, trace.result.index)
 
 
+def _left_nested(gens):
+    node = gens[0]
+    for b in gens[1:]:
+        node = (node, b)
+    return node
+
+
+def _swap_one(tree, depth):
+    """``tree`` with the children of its node at ``depth`` swapped."""
+    if isinstance(tree, int):
+        return tree
+    left, right = tree
+    if depth == 0:
+        return (right, left)
+    return (_swap_one(left, depth - 1), right)
+
+
+def _right_nested(gens):
+    node = gens[-1]
+    for b in reversed(gens[:-1]):
+        node = (b, node)
+    return node
+
+
+_words = st.integers(1, (2 << MAX_LEVEL) - 1).map(_word_tree)
+_generators = st.lists(st.integers(0, MAX_LEVEL), min_size=1, max_size=6)
+_trees = st.one_of(
+    _words,
+    st.tuples(_words, st.integers(0, MAX_LEVEL)).map(lambda t: _swap_one(*t)),
+    _generators.map(_right_nested),
+    _generators.map(_left_nested),
+)
+
+
 class TestFastReplayAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(_trees)
+    def test_word_index_equals_nested_recursions(self, tree):
+        assert _word_index(tree) == reference_word_index(tree)
+
+    def test_word_index_on_every_final_word_up_to_level_four(self):
+        for k in range(5):
+            n = 2 ** (k + 1) - 1
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    sign, tree = normalize_product_traced(i, j, k)[1].final
+                    if sign:
+                        want = reference_word_index(tree)
+                        assert want is not None and _word_index(tree) == want
+
     @settings(max_examples=500, deadline=None)
     @given(i=st.integers(1, 2 ** (MAX_LEVEL + 1) - 1), j=st.integers(1, 2 ** (MAX_LEVEL + 1) - 1))
     def test_kernel_equals_recursive_kernel(self, i, j):
@@ -472,12 +546,11 @@ class TestBuildTable:
         def tampered(i, j, s):
             rows = [array("b", r) for r in table.signs]
             rows[i][j] = s
-            return MulTable(table.k, table.n, tuple(rows))
+            return MulTable(table.k, tuple(rows))
 
         cases = [
             (tampered(1, 2, 0), "off-diagonal cell (1,2) must be nonzero"),
-            (MulTable(table.k, 15, table.signs), "n=15 does not match level k=2"),
-            (MulTable(table.k, table.n, table.signs[:-1]), "must form an 8 x 8 grid"),
+            (MulTable(table.k, table.signs[:-1]), "must form an 8 x 8 grid"),
             (tampered(0, 3, 1), "row 0 and column 0 name no basis element"),
             (tampered(3, 0, -1), "row 0 and column 0 name no basis element"),
             (tampered(3, 3, 1), "diagonal cell (3,3) must be zero"),
@@ -494,7 +567,7 @@ class TestBuildTable:
         with_tuple_row[3] = tuple(with_tuple_row[3])
         wide_rows = [array("h", r) for r in table.signs]
         for rows in (with_tuple_row, wide_rows):
-            bad = MulTable(table.k, table.n, tuple(rows))
+            bad = MulTable(table.k, tuple(rows))
             with pytest.raises(ValueError, match=re.escape('sign rows must be array("b") rows')):
                 bad.validate()
 
@@ -511,13 +584,9 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             table.entry(1, 4)
 
-    def test_values_bounds(self):
-        # Row 0 names no basis element; -1 would index from the end.
-        table = build_table(1)
-        for i in (0, -1, table.n + 1):
-            with pytest.raises(ValueError, match=re.escape(f"row {i} out of range 1..3")):
-                table.values(i)
-        assert [table.values(i) for i in (1, 2, 3)] == R3_CELLS
+    def test_r3_cells(self):
+        t = build_table(1)
+        assert [[t.entry(i, j).value for j in (1, 2, 3)] for i in (1, 2, 3)] == R3_CELLS
 
     def test_lower_level_embeds_in_higher(self):
         small = build_table(2)
@@ -548,8 +617,6 @@ def cached_table(k):
 def reference_validate(table):
     """``MulTable.validate`` as a per-cell loop over rows and ``zip`` columns."""
     n = table.n
-    if n != (1 << (table.k + 1)) - 1:
-        raise ValueError(f"n={n} does not match level k={table.k}")
     rows = table.signs
     if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
         raise ValueError(f"sign rows must form an {n + 1} x {n + 1} grid")
@@ -686,7 +753,7 @@ class TestByteKernels:
         cell = st.integers(0, table.n)
         for _ in range(data.draw(st.integers(1, 3))):
             rows[data.draw(cell)][data.draw(cell)] = data.draw(st.integers(-2, 2))
-        tampered = MulTable(table.k, table.n, tuple(rows))
+        tampered = MulTable(table.k, tuple(rows))
         assert _verdict(MulTable.validate, tampered) == _verdict(reference_validate, tampered)
 
     def test_double_matches_reference_up_to_level_seven(self):
@@ -697,7 +764,9 @@ class TestByteKernels:
 
     @pytest.mark.parametrize("k", range(1, MAX_LEVEL + 1))
     def test_sign_row_digests(self, k):
-        digest = hashlib.sha256(b"".join(build_table(k).signs)).hexdigest()
+        table = build_table(k)
+        assert table.n == 2 ** (k + 1) - 1
+        digest = hashlib.sha256(b"".join(table.signs)).hexdigest()
         assert digest == SIGN_ROW_DIGESTS[k]
 
     @pytest.mark.parametrize("k", range(1, MAX_LEVEL + 1))
@@ -919,5 +988,45 @@ class TestCounterexampleVectors:
             assert dot(u, u) == 2 and dot(v, v) == 2 and dot(u, v) == 0
 
     def test_level_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape('level must be in 3..10, got 2')}$"):
             counterexample_vectors(2)
+
+    @pytest.mark.parametrize("k", range(3, MAX_LEVEL + 1))
+    def test_equals_the_word_construction(self, k):
+        assert counterexample_vectors(k) == word_counterexample(k)
+
+
+def word_counterexample(k):
+    """The witness pair built from its basis words, the reference for
+    ``counterexample_vectors``: u = u0 x u1 + u1 x u3 and
+    v = u1 x u2 - ((u0 x u1) x u2) x u3."""
+    n = 2 ** (k + 1) - 1
+    u_coords = [Fraction(0)] * n
+    v_coords = [Fraction(0)] * n
+    for gens in (frozenset({0, 1}), frozenset({1, 3})):
+        u_coords[BasisWord(gens).index - 1] = Fraction(1)
+    v_coords[BasisWord(frozenset({1, 2})).index - 1] = Fraction(1)
+    v_coords[BasisWord(frozenset({0, 1, 2, 3})).index - 1] = Fraction(-1)
+    return Vector(u_coords), Vector(v_coords)
+
+
+# == levels that are not ints ================================================
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "3"])
+@pytest.mark.parametrize(
+    "call, low",
+    [
+        (build_basis, 0),
+        (build_table, 1),
+        (lambda k: normalize_product(1, 2, k), 0),
+        (lambda k: normalize_product_traced(1, 2, k), 0),
+        (counterexample_vectors, 3),
+    ],
+    ids=["build_basis", "build_table", "normalize_product", "normalize_product_traced",
+         "counterexample_vectors"],
+)
+def test_non_int_levels_are_rejected(call, low, k):
+    message = f"level must be in {low}..{MAX_LEVEL}, got {k!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(k)

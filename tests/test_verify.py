@@ -71,7 +71,7 @@ def _zeroed_cell_table() -> MulTable:
     rows = [array("b", r) for r in table.signs]
     rows[1][2] = 0
     rows[2][1] = 0
-    return MulTable(table.k, table.n, tuple(rows))
+    return MulTable(table.k, tuple(rows))
 
 
 # == perpendicular ===========================================================
