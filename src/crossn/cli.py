@@ -15,28 +15,40 @@ import os
 import stat
 import sys
 import tempfile
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from . import symbolic, verify
+from . import symbolic
 from .vecalg import DOUBLE, EXACT, Vector, det_product, dot, format_vector, \
     parse_vector, table_product
+
+if TYPE_CHECKING:
+    from . import verify
+
+
+def _verify():
+    """The verify module, imported on first use; a lambda cannot hold the import."""
+    from . import verify
+
+    return verify
+
 
 # Each product family's dimension test, cross's usage text when the test
 # fails, constructor (from the dimension) and fixed dimension, if it has one.
 # The constructors look verify's factories up at call time, so that a patch
-# of them (as in bench/tracing.py) takes effect.  Table dimensions are
+# of them (as in bench/tracing.py) takes effect and only a command that
+# builds a product loads verify.  Table dimensions are
 # n = 2^(k+1)-1 for levels 1..MAX_LEVEL.
 FAMILIES = {
     "table": (
         lambda n: 3 <= n < 2 << symbolic.MAX_LEVEL and not n & (n + 1),
         "--n {n} is not a table dimension (need n = 2^(k+1)-1)",
-        lambda n: verify.product_for_table(symbolic.build_table(n.bit_length() - 1)),
+        lambda n: _verify().product_for_table(symbolic.build_table(n.bit_length() - 1)),
         None,
     ),
-    "cross3": (lambda n: n == 3, "cross3 needs --n 3", lambda n: verify.cross3_product(), 3),
-    "cross7": (lambda n: n == 7, "cross7 needs --n 7", lambda n: verify.cross7_product(), 7),
+    "cross3": (lambda n: n == 3, "cross3 needs --n 3", lambda n: _verify().cross3_product(), 3),
+    "cross7": (lambda n: n == 7, "cross7 needs --n 7", lambda n: _verify().cross7_product(), 7),
     "padded": (
-        lambda n: n >= 3, "padded needs --n >= 3", lambda n: verify.padded_product(n), None
+        lambda n: n >= 3, "padded needs --n >= 3", lambda n: _verify().padded_product(n), None
     ),
 }
 FORMATS = {"md": "markdown", "csv": "csv", "json": "json"}
@@ -85,8 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--product", choices=list(FAMILIES), required=True)
     p_verify.add_argument("--n", type=int, help="dimension (padded/cross3/cross7)")
     p_verify.add_argument("--k", type=int, help="table level (table product)")
-    p_verify.add_argument("--samples", type=int, default=verify.DEFAULT_SAMPLES)
-    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    # No defaults here: verify's checkers own them, and only the options given
+    # are passed on.
+    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--seed", type=int)
     p_verify.add_argument(
         "--axioms",
         default="all",
@@ -176,14 +190,17 @@ def _parse_axioms(raw: str, parser) -> List[str]:
 def cmd_verify(args, parser) -> Tuple[str, int]:
     if args.mode == DOUBLE:
         parser.error("verification runs in exact mode only")
-    if args.samples < 1:
+    if args.samples is not None and args.samples < 1:
         parser.error("--samples must be >= 1")
     product = _product_under_test(args, parser)
     axioms = _parse_axioms(args.axioms, parser)
+    options = {k: v for k, v in (("samples", args.samples), ("seed", args.seed)) if v is not None}
+
+    from . import verify
 
     reports: List[verify.AxiomReport] = []
     for axiom in axioms:
-        found = getattr(verify, f"check_{axiom}")(product, args.samples, args.seed)
+        found = getattr(verify, f"check_{axiom}")(product, **options)
         reports += found if axiom == "identities" else [found]
 
     status = 0
@@ -220,6 +237,8 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
         )
     if args.k > symbolic.MAX_LEVEL:
         parser.error(f"--k must be <= {symbolic.MAX_LEVEL}")
+    from . import verify
+
     table = symbolic.build_table(args.k)
     product = verify.product_for_table(table)
     u, v = product.known
@@ -251,6 +270,8 @@ def cmd_classify(args, parser) -> Tuple[str, int]:
         parser.error("classification runs in exact mode only")
     if not 1 <= args.max_k <= symbolic.MAX_LEVEL:
         parser.error(f"--max-k must be in 1..{symbolic.MAX_LEVEL}")
+    from . import verify
+
     verdicts = verify.classify_dimensions(args.max_k)
     lines = []
     status = 0

@@ -99,7 +99,7 @@ class BasisWord:
         gens = frozenset(self.generators)
         if not gens:
             raise ValueError("a basis word needs at least one generator")
-        if any(not isinstance(b, int) or b < 0 for b in gens):
+        if any(type(b) is not int or b < 0 for b in gens):
             raise ValueError(f"generators must be non-negative ints, got {set(gens)}")
         object.__setattr__(self, "generators", gens)
 
@@ -448,7 +448,9 @@ class MulTable:
         every index from the rewrite rules.  Rows are checked as bytes: unit
         cells are the 1 and 0xff (-1) bytes, and column i, ``flat[i::n+1]``,
         must equal row i translated by ``_NEG``; a failure walks the row.
+        The level is checked first, as ``build_table`` checks it.
         """
+        _check_level(self.k, 1)
         n = self.n
         rows = self.signs
         if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):

@@ -270,6 +270,14 @@ class TestVerifyCommand:
         assert all(r["verdict"] == "holds-on-all-samples" for r in reports)
         assert all(r["seed"] == 1063 for r in reports)
 
+    def test_defaults_come_from_verify(self, capsys):
+        # The CLI sets no default of its own for --samples and --seed.
+        status, out = run(capsys, "verify", "--product", "cross3", "--axioms", "perpendicular")
+        assert status == 0
+        (report,) = json.loads(out)
+        assert report["seed"] == verify.DEFAULT_SEED
+        assert report["samples"] == 9 + verify.DEFAULT_SAMPLES  # 3 x 3 basis pairs first
+
     def test_padded_4_expected_refutation_matches(self, capsys):
         status, out = run(
             capsys,

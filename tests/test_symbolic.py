@@ -126,6 +126,12 @@ class TestBasisWord:
         with pytest.raises(ValueError):
             BasisWord.from_index(0)
 
+    def test_rejects_bool_generators(self):
+        # True is an int subclass; as a generator it would print as u1.
+        message = "generators must be non-negative ints, got {True}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BasisWord(frozenset({True}))
+
 
 class TestBuildBasis:
     def test_level_zero(self):
@@ -576,6 +582,10 @@ class TestBuildTable:
             build_table(0)
         with pytest.raises(ValueError):
             build_table(MAX_LEVEL + 1)
+        # validate checks the level of a table built directly, too.
+        message = f"level must be in 1..{MAX_LEVEL}, got {MAX_LEVEL + 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MulTable(MAX_LEVEL + 1, build_table(1).signs).validate()
 
     def test_entry_bounds(self):
         table = build_table(1)
@@ -1022,9 +1032,10 @@ def word_counterexample(k):
         (lambda k: normalize_product(1, 2, k), 0),
         (lambda k: normalize_product_traced(1, 2, k), 0),
         (counterexample_vectors, 3),
+        (lambda k: MulTable(k, build_table(1).signs).validate(), 1),
     ],
     ids=["build_basis", "build_table", "normalize_product", "normalize_product_traced",
-         "counterexample_vectors"],
+         "counterexample_vectors", "validate"],
 )
 def test_non_int_levels_are_rejected(call, low, k):
     message = f"level must be in {low}..{MAX_LEVEL}, got {k!r}"
