@@ -29,13 +29,16 @@ below; ``SignedBasis`` cells exist only on demand (``entry``, ``cells``).
 The serialisers render rows from per-index texts: cell (i, j) picks the text
 of index i ^ j for its sign, along rows of texts permuted by ``_xor_rows``.
 
-``normalize_product_traced`` additionally records every rewrite step, as the
-rule and the expression it rewrites to, so the whole reduction chain, e.g.
+``normalize_product_traced`` runs the same loop with a step recorder: each
+rule use becomes a step, the rule and the whole expression it rewrites to, so
+the reduction chain, e.g.
 
     (u0 x u2) x (u1 x u2)  ->  -((u0 x u1))  =  -e3
 
-can be replayed: each step's value is checked against an independent
-evaluation.
+can be replayed as a derivation.  Replay evaluates no product and runs no
+normalizer: each step must rewrite one subterm of the expression before it by
+an instance of the rule it cites.  The tests check the rules themselves
+against an independent Cayley-Dickson sign function.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 from operator import eq, getitem
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -118,6 +121,7 @@ class BasisWord:
         return tree_str(_word_tree(self.index))
 
 
+@lru_cache(maxsize=2 << MAX_LEVEL)  # every index up to the largest level
 def _word_tree(index: int) -> Tree:
     """The canonical word of generator set ``index`` (>= 1), read from its bits."""
     gens = [b for b in range(index.bit_length()) if index >> b & 1]
@@ -192,35 +196,57 @@ def _check_level_and_indices(i: int, j: int, k: int) -> None:
             )
 
 
-def _norm_indices(i: int, j: int) -> Tuple[int, int]:
+def _norm_indices(i: int, j: int, emit=None) -> Tuple[int, int]:
     """Reduce e_i x e_j to (sign, index), (0, 0) meaning zero.
 
     Recursion on the largest generator present in either word; each case is
     one of the rewrite rules, oriented by antisymmetry.  The recursion runs
     as a loop: ``sign`` and ``high`` carry what each case applies to the rest.
+    With ``emit``, each rule use is also reported as ``emit(rule, sign, tree,
+    high)``: sign * tree inside the generators of ``high``, lowest first.
     """
     sign, high = 1, 0
     while i != j:
         bit = 1 << ((i | j).bit_length() - 1)
         a, b = i & ~bit, j & ~bit
         if i & bit and j & bit:
-            if a == 0:  # u_t * (y * u_t) = y
+            if b == 0:  # (y * u_t) * u_t = -(u_t * (y * u_t))
+                if emit:
+                    emit(RULE_ANTISYMMETRY, -sign, (_word_tree(j), _word_tree(i)), high)
+                sign, a, b = -sign, 0, a
+            if a == 0:  # u_t * (y * u_t) = -(u_t * (u_t * y)) = y
+                if emit:
+                    t, y = _word_tree(bit), _word_tree(b)
+                    emit(RULE_ANTISYMMETRY, -sign, (t, (t, y)), high)
+                    emit(RULE_CANCELLATION, sign, y, high)
                 return (sign, b | high)
-            if b == 0:  # (y * u_t) * u_t = -y
-                return (-sign, a | high)
+            if emit:
+                emit(RULE_PAIR_COLLAPSE, -sign, (_word_tree(a), _word_tree(b)), high)
             sign, i, j = -sign, a, b  # pair-collapse, then recurse below t
         elif i & bit:
+            if emit:  # orient: e_i * e_j = -(e_j * e_i)
+                emit(RULE_ANTISYMMETRY, -sign, (_word_tree(j), _word_tree(i)), high)
             if a == 0:  # u_t * y = -(y * u_t)
                 return (-sign, j | bit | high)
-            if j == a:  # (y * u_t) * y = u_t
+            if j == a:  # (y * u_t) * y = -(y * (y * u_t)) = u_t
+                if emit:
+                    emit(RULE_CANCELLATION, sign, _word_tree(bit), high)
                 return (sign, bit | high)
+            if emit:
+                emit(RULE_SHIFT, sign, ((_word_tree(j), _word_tree(a)), _word_tree(bit)), high)
             i, j, high = j, a, high | bit  # orient, then shift
         else:
             if b == 0:  # y * u_t is already a basis word
                 return (sign, i | bit | high)
             if i == b:  # y * (y * u_t) = -u_t
+                if emit:
+                    emit(RULE_CANCELLATION, -sign, _word_tree(bit), high)
                 return (-sign, bit | high)
+            if emit:
+                emit(RULE_SHIFT, -sign, ((_word_tree(i), _word_tree(b)), _word_tree(bit)), high)
             sign, j, high = -sign, b, high | bit  # shift
+    if emit:
+        emit(RULE_ANTISYMMETRY, 0, None, 0)
     return (0, 0)
 
 
@@ -272,29 +298,18 @@ class RewriteTrace:
         return self.steps[-1].after if self.steps else self.initial
 
     def replay(self) -> bool:
-        """Re-check the trace against an independent evaluation.
-
-        Verifies that every step cites a known rule and preserves the value
-        of the expression (evaluated through the index recursion, not the
-        trace machinery), and that the final expression is a canonical word
-        denoting exactly ``result``.
-
-        A step stores only the expression it rewrites to; the one it rewrites
-        is the expression reached so far, so there is no stored chain left to
-        compare.  Each ``after`` is evaluated once and compared with the value
-        carried from ``initial``.  Replay does not check that a step applies
-        the rule it cites: a middle step dropped, or a middle ``after``
-        replaced by another expression of the same value, still replays.
-        """
-        value = _eval_expr(self.initial)
-        if value != (self.result.sign, self.result.index):
+        """Check the trace as a derivation from the four rewrite rules: from
+        ``(1, x × y)``, x and y canonical words, each step rewrites the
+        expression reached so far by one instance of the rule it cites, to
+        the canonical word of ``result`` or zero.  No product is evaluated,
+        and a malformed expression gives False, not an error."""
+        sign, tree = self.initial if _is_expr(self.initial) else ZERO_EXPR
+        if sign != 1 or type(tree) is not tuple or None in map(_word_index, tree):
             return False
         for step in self.steps:
-            if step.rule not in RULES:
+            if not (_is_expr(step.after) and _rewrites(step.rule, (sign, tree), step.after)):
                 return False
-            if _eval_expr(step.after) != value:
-                return False
-        sign, tree = self.final
+            sign, tree = step.after
         if sign == 0:
             return self.result.is_zero
         return (sign, _word_index(tree)) == (self.result.sign, self.result.index)
@@ -305,105 +320,88 @@ class RewriteTrace:
         return "\n".join(lines)
 
 
+def _is_expr(expr) -> bool:
+    """Whether ``expr`` is ``(0, None)``, or a sign of +-1 and a tree of pairs
+    whose leaves are non-negative ints (bools are not)."""
+    if type(expr) is not tuple or len(expr) != 2 or type(expr[0]) is not int:
+        return False
+    nodes = [expr[1]]
+    for node in nodes:  # breadth first: the loop reaches what it appends
+        if type(node) is tuple and len(node) == 2:
+            nodes += node
+        elif type(node) is not int or node < 0:
+            return expr == ZERO_EXPR  # the one expression without a tree
+    return expr[0] in (-1, 1)
+
+
 def _word_index(tree: Tree) -> Optional[int]:
-    """The index of a canonical word, or None for a tree that is not one."""
-    if isinstance(tree, int):
-        return 1 << tree
-    left, right = tree
-    index = _word_index(left)
-    if index is None or not isinstance(right, int) or index >= 1 << right:
-        return None
-    return index | 1 << right
+    """The index of a canonical word, or None for a tree that is not one: down
+    the left spine, each right leaf is below every generator taken so far."""
+    index = 0
+    while isinstance(tree, tuple):
+        tree, top = tree
+        if not isinstance(top, int) or index & ((2 << top) - 1):
+            return None
+        index |= 1 << top
+    return None if index & ((2 << tree) - 1) else index | 1 << tree
 
 
-def _eval_tree(t: Tree) -> Tuple[int, int]:
-    if type(t) is int:
-        return (1, 1 << t)
-    (sl, ml), (sr, mr) = _eval_tree(t[0]), _eval_tree(t[1])
-    if sl == 0 or sr == 0:
-        return (0, 0)
-    s, m = _norm_indices(ml, mr)  # (0, 0) for zero
-    return (sl * sr * s, m)
+def _rewrites(rule: str, before: Expr, after: Expr) -> bool:
+    """Whether ``after`` is ``before`` with one instance of ``rule``, as the
+    module docstring states the rules, applied at the subterm reached by
+    walking down while one child is equal: x and y distinct canonical words,
+    u_t above both, x × x -> 0 only for a whole product, and any other step
+    negating the sign, every context being bilinear."""
+    (sign, old), (new_sign, new) = before, after
+    if type(old) is not tuple:
+        return False
+    if new_sign == 0:
+        return rule == RULE_ANTISYMMETRY and old[0] == old[1] and _word_index(old[0]) is not None
+    if new_sign != -sign:
+        return False
+    while type(new) is tuple and type(old) is tuple:
+        if old[0] == new[0]:
+            old, new = old[1], new[1]
+        elif old[1] == new[1]:
+            old, new = old[0], new[0]
+        else:
+            break
+    if type(old) is not tuple:
+        return False
+    x, right = old
+    if rule == RULE_ANTISYMMETRY:  # x × y -> y × x
+        return new == (right, x) and _distinct_words(x, right)
+    if type(right) is not tuple:
+        return False
+    if rule == RULE_CANCELLATION:  # x × (x × y) -> y
+        return right[0] == x and new == right[1] and _distinct_words(x, new)
+    if rule == RULE_SHIFT:  # x × (y × u_t) -> (x × y) × u_t
+        return new == ((x, right[0]), right[1]) and _distinct_words(x, *right)
+    if rule == RULE_PAIR_COLLAPSE and type(x) is tuple:  # (x × u_t) × (y × u_t) -> x × y
+        return x[1] == right[1] and new == (x[0], right[0]) and _distinct_words(x[0], *right)
+    return False
 
 
-def _eval_expr(expr: Expr) -> Tuple[int, int]:
-    """Denotation of an arbitrary signed product tree, via the recursion."""
-    sign, tree = expr
-    s, m = _eval_tree(tree) if sign else (0, 0)
-    return (sign * s, m)
-
-
-def _top_generator(word: Tree) -> int:
-    # Only valid on canonical word trees.
-    return word if isinstance(word, int) else word[1]
-
-
-def _embed(tree: Tree, ctx: Tuple[int, ...]) -> Tree:
-    for g in ctx:
-        tree = (tree, g)
-    return tree
-
-
-def _reduce_traced(sign, left, right, ctx, steps) -> Expr:
-    """Normalize ``sign * (left x right)`` emitting one step per rule use.
-
-    ``left`` and ``right`` are canonical word trees; ``ctx`` is the stack of
-    pending top generators wrapped around the active product (innermost
-    first), so emitted steps always show the whole expression.
-    """
-
-    def emit(rule, s, t):
-        steps.append(RewriteStep(rule, (s, _embed(t, ctx))))
-
-    if left == right:
-        steps.append(RewriteStep(RULE_ANTISYMMETRY, ZERO_EXPR))
-        return ZERO_EXPR
-
-    if _top_generator(left) > _top_generator(right):
-        emit(RULE_ANTISYMMETRY, -sign, (right, left))
-        sign, left, right = -sign, right, left
-
-    top = _top_generator(right)
-
-    if _top_generator(left) < top:
-        if isinstance(right, int):
-            # left x u_top is already canonical; nothing to rewrite.
-            return (sign, (left, right))
-        rsub, _ = right
-        if left == rsub:
-            emit(RULE_CANCELLATION, -sign, top)
-            return (-sign, top)
-        emit(RULE_SHIFT, -sign, ((left, rsub), top))
-        inner = _reduce_traced(-sign, left, rsub, (top,) + ctx, steps)
-        return (inner[0], (inner[1], top))
-
-    # Both operands contain the top generator.
-    if isinstance(left, int):
-        rsub, _ = right
-        emit(RULE_ANTISYMMETRY, -sign, (top, (top, rsub)))
-        emit(RULE_CANCELLATION, sign, rsub)
-        return (sign, rsub)
-    if isinstance(right, int):
-        lsub, _ = left
-        emit(RULE_ANTISYMMETRY, -sign, (right, left))
-        emit(RULE_ANTISYMMETRY, sign, (top, (top, lsub)))
-        emit(RULE_CANCELLATION, -sign, lsub)
-        return (-sign, lsub)
-    lsub, _ = left
-    rsub, _ = right
-    emit(RULE_PAIR_COLLAPSE, -sign, (lsub, rsub))
-    return _reduce_traced(-sign, lsub, rsub, ctx, steps)
+def _distinct_words(x: Tree, y: Tree, t: Optional[Tree] = None) -> bool:
+    """Whether x and y are distinct canonical words, both below u_t if t is given."""
+    ix, iy = _word_index(x), _word_index(y)
+    return None not in (ix, iy) and ix != iy and (t is None or type(t) is int and ix | iy < 1 << t)
 
 
 def normalize_product_traced(i: int, j: int, k: int) -> Tuple[SignedBasis, RewriteTrace]:
-    """Like ``normalize_product`` but with the full rewrite chain attached."""
+    """Like ``normalize_product`` but with the full rewrite chain, recorded by
+    ``_norm_indices`` itself, each step's subterm wrapped in its ``high``."""
     _check_level_and_indices(i, j, k)
-    li, rj = _word_tree(i), _word_tree(j)
-    initial: Expr = (1, (li, rj))
     steps: List[RewriteStep] = []
-    final = _reduce_traced(1, li, rj, (), steps)
-    result = SignedBasis(final[0], _word_index(final[1])) if final[0] else SignedBasis.zero()
-    return result, RewriteTrace(initial, tuple(steps), result)
+
+    def emit(rule: str, sign: int, tree: Tree, high: int) -> None:
+        while high:
+            low = high & -high
+            tree, high = (tree, low.bit_length() - 1), high ^ low
+        steps.append(RewriteStep(rule, (sign, tree)))
+
+    result = SignedBasis(*_norm_indices(i, j, emit))
+    return result, RewriteTrace((1, (_word_tree(i), _word_tree(j))), tuple(steps), result)
 
 
 # --- multiplication tables -------------------------------------------------

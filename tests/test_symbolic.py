@@ -5,14 +5,21 @@ Core claims:
       previous level times new generator) and has 2**(k+1)-1 elements
     - the generator-set encoding is a bijection onto 1..2**(k+1)-1
     - normalize_product reproduces the published 3x3 and 7x7 tables
-    - the fast normalizer and the traced rewriter agree everywhere, every
-      trace replays against an independent evaluation, a trace renders as
-      its recorded text, and the text of every trace at levels 0..4 hashes
-      to a pinned SHA-256 digest
-    - the looped sign kernel equals the recursive one, and the replay that
-      evaluates each expression once agrees with the one that evaluates the
-      previous expression and the after of every step, on honest and on
-      tampered traces
+    - the traced normalizer (the sign kernel with a step recorder) agrees
+      with the fast one everywhere and with the recursive traced reference it
+      replaced on drawn pairs at levels 0..10, every trace replays as a
+      derivation from the four rules, a trace renders as its recorded text,
+      and the text of every trace at levels 0..4 hashes to a pinned SHA-256
+      digest
+    - the looped sign kernel equals the recursive one; rule-checked replay
+      accepts only what a value-only reference replay accepts, agrees with it
+      on honest and sign-flipped traces, and rejects the replaced afters and
+      dropped steps that the reference accepts; a malformed expression, a
+      deeply nested one included, replays False without raising
+    - every rule instance that replay accepts on the words up to level 4 is
+      sound against an independent Cayley-Dickson sign function, the matcher
+      accepts exactly the instances that meet the side conditions, and a
+      mutation of each side condition, of the sign or of the rule is rejected
     - the XOR index law and cell antisymmetry hold exhaustively (checked,
       never assumed)
     - every sign row cell equals normalize_product (all cells up to k = 5,
@@ -57,7 +64,12 @@ from hypothesis import given, settings, strategies as st
 
 from crossn.symbolic import (
     MAX_LEVEL,
+    RULE_ANTISYMMETRY,
+    RULE_CANCELLATION,
+    RULE_PAIR_COLLAPSE,
+    RULE_SHIFT,
     RULES,
+    ZERO_EXPR,
     BasisWord,
     MulTable,
     RewriteStep,
@@ -76,6 +88,7 @@ from crossn.symbolic import (
     _double,
     _xor_rows,
     _norm_indices,
+    _rewrites,
     _word_index,
     _word_tree,
 )
@@ -318,10 +331,12 @@ class TestTracedNormalizer:
         # an after of another value: u0 × u1 = e3, not −e6
         replaced = (middle[0], RewriteStep(middle[1].rule, flip), *middle[2:], last)
         # the last step dropped, or its after replaced by an expression of the
-        # right value that is no canonical word; a middle step dropped leaves
-        # a chain of equal values, which replays
+        # right value that is no canonical word
         stopped = (*middle, RewriteStep(last.rule, middle[-1].after))
-        for steps in (replaced, tuple(middle), stopped):
+        # a middle step dropped: a chain of equal values, but the step after
+        # the gap applies no single rule to the expression before it
+        skipped = (middle[0], *middle[2:], last)
+        for steps in (replaced, tuple(middle), stopped, skipped):
             tampered.append(RewriteTrace(trace.initial, steps, result))
         for bad in tampered:
             assert not bad.replay(), bad
@@ -332,6 +347,43 @@ class TestTracedNormalizer:
         bad_step = RewriteStep("made-up", step.after)
         bad = RewriteTrace(trace.initial, (bad_step,) + trace.steps[1:], trace.result)
         assert not bad.replay()
+
+    @pytest.mark.parametrize("where", ["initial", "after"])
+    @pytest.mark.parametrize(
+        "expr",
+        [(1, "x"), (1, (0, "ab")), (1, (True, 1)), None, (2, (0, 1)), (1, (0, 1, 2)),
+         (True, (0, 1)), (0, (0, 1)), (1, None), (1, (-1, 2))],
+        ids=["str-tree", "str-leaf", "bool-leaf", "none", "sign-2", "three-tuple",
+             "bool-sign", "zero-sign-tree", "no-tree", "negative-leaf"],
+    )
+    def test_malformed_expression_replays_false(self, expr, where):
+        # Replay checks shapes before anything else, so it never raises.
+        result, trace = normalize_product_traced(13, 11, 3)
+        if where == "initial":
+            bad = RewriteTrace(expr, trace.steps, result)
+        else:
+            steps = list(trace.steps)
+            steps[1] = RewriteStep(steps[1].rule, expr)
+            bad = RewriteTrace(trace.initial, tuple(steps), result)
+        assert bad.replay() is False
+
+    def test_bool_leaves_are_not_generators(self):
+        # Each equals the honest expression by ==, as False == 0.
+        result, trace = normalize_product_traced(5, 6, 2)
+        (step,) = trace.steps
+        assert step.after == (-1, (0, 1)) == (-1, (False, 1))
+        bad_step = RewriteStep(step.rule, (-1, (False, 1)))
+        assert not RewriteTrace(trace.initial, (bad_step,), result).replay()
+        assert not RewriteTrace((1, ((False, 2), (1, 2))), trace.steps, result).replay()
+
+    def test_deeply_nested_expression_replays_false(self):
+        deep = 0
+        for _ in range(5000):
+            deep = (deep, 1)
+        result, trace = normalize_product_traced(5, 6, 2)
+        assert RewriteTrace((1, (deep, 2)), trace.steps, result).replay() is False
+        step = RewriteStep(RULE_PAIR_COLLAPSE, (-1, (deep, 1)))
+        assert RewriteTrace(trace.initial, (step,), result).replay() is False
 
 
 def recursive_norm_indices(i, j):
@@ -512,9 +564,214 @@ class TestFastReplayAgainstReference:
             else:
                 del steps[t]
         tampered = RewriteTrace(trace.initial, tuple(steps), result)
-        assert tampered.replay() is reference_replay(tampered)
+        replayed = tampered.replay()
+        # A derivation from sound rules keeps the value, so rule-checked replay
+        # accepts nothing that the value-only reference rejects.
+        assert not replayed or reference_replay(tampered)
+        if tamper == "none" or tamper.startswith("flip-"):
+            assert replayed is reference_replay(tampered)
+        elif tuple(steps) != trace.steps:
+            # The reference accepts an after of equal value, or a dropped
+            # middle step; rule-checked replay does not.
+            assert not replayed
         if tamper == "none":
-            assert tampered.replay()
+            assert replayed
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_traced_equals_recursive_traced_reference(self, data):
+        k = data.draw(st.integers(0, MAX_LEVEL), label="k")
+        n = (1 << (k + 1)) - 1
+        i = data.draw(st.integers(1, n), label="i")
+        j = data.draw(st.one_of(st.integers(1, n), st.just(i)), label="j")
+        result, trace = normalize_product_traced(i, j, k)
+        steps, value = reference_traced(i, j)
+        assert trace.steps == steps
+        assert (result.sign, result.index) == value
+
+
+def cd_sign(i, j):
+    """The sign s of e_i e_j = s e_(i ^ j) for Cayley-Dickson units, e_0 = 1.
+
+    Written from the doubling rule (a, b)(c, d) = (ac - d̄b, da + bc̄) alone,
+    with e_m = (e_m, 0) below the top half and (0, e_(m - half)) in it; the
+    conjugate of e_c is -e_c for c != 0.
+    """
+    if i == 0 or j == 0:
+        return 1
+    if i == j:
+        return -1
+    half = 1 << (max(i, j).bit_length() - 1)
+    a, c = i & (half - 1), j & (half - 1)
+    conj = 1 if c == 0 else -1
+    if i < half:  # (e_i, 0)(0, e_c) = (0, e_c e_i)
+        return cd_sign(c, i)
+    if j < half:  # (0, e_a)(e_j, 0) = (0, e_a conj(e_j))
+        return -cd_sign(a, j)
+    return -conj * cd_sign(c, a)  # (0, e_a)(0, e_c) = (-conj(e_c) e_a, 0)
+
+
+def cd_value(tree):
+    """(sign, index) of a product tree over u_b = e_(2**b) among the units;
+    index 0 is the real unit, whose cross-product part is zero."""
+    if isinstance(tree, int):
+        return (1, 1 << tree)
+    (sl, ml), (sr, mr) = cd_value(tree[0]), cd_value(tree[1])
+    return (sl * sr * cd_sign(ml, mr), ml ^ mr)
+
+
+def reference_traced(i, j):
+    """The recursive traced normaliser that the step recorder of the sign
+    kernel replaced: ``(steps, (sign, index))``, one step per rule use."""
+    steps = []
+
+    def top(word):
+        return word if isinstance(word, int) else word[1]
+
+    def reduce(sign, left, right, ctx):
+        def emit(rule, s, t):
+            for g in ctx:  # pending top generators, innermost first
+                t = (t, g)
+            steps.append(RewriteStep(rule, (s, t)))
+
+        if left == right:
+            steps.append(RewriteStep(RULE_ANTISYMMETRY, ZERO_EXPR))
+            return ZERO_EXPR
+        if top(left) > top(right):
+            emit(RULE_ANTISYMMETRY, -sign, (right, left))
+            sign, left, right = -sign, right, left
+        t = top(right)
+        if top(left) < t:
+            if isinstance(right, int):
+                return (sign, (left, right))
+            rsub, _ = right
+            if left == rsub:
+                emit(RULE_CANCELLATION, -sign, t)
+                return (-sign, t)
+            emit(RULE_SHIFT, -sign, ((left, rsub), t))
+            inner = reduce(-sign, left, rsub, (t,) + ctx)
+            return (inner[0], (inner[1], t))
+        if isinstance(left, int):
+            rsub, _ = right
+            emit(RULE_ANTISYMMETRY, -sign, (t, (t, rsub)))
+            emit(RULE_CANCELLATION, sign, rsub)
+            return (sign, rsub)
+        if isinstance(right, int):
+            lsub, _ = left
+            emit(RULE_ANTISYMMETRY, -sign, (right, left))
+            emit(RULE_ANTISYMMETRY, sign, (t, (t, lsub)))
+            emit(RULE_CANCELLATION, -sign, lsub)
+            return (-sign, lsub)
+        emit(RULE_PAIR_COLLAPSE, -sign, (left[0], right[0]))
+        return reduce(-sign, left[0], right[0], ctx)
+
+    def word(m):
+        return _left_nested([b for b in range(m.bit_length()) if m >> b & 1])
+
+    sign, tree = reduce(1, word(i), word(j), ())
+    return tuple(steps), (sign, _tree_index(tree) if sign else 0)
+
+
+class TestRewriteRules:
+    """Replay's rule matcher against the Cayley-Dickson units."""
+
+    def test_sign_function_reproduces_the_level_four_table(self):
+        for i in range(1, 32):
+            for j in range(1, 32):
+                want = SignedBasis(cd_sign(i, j), i ^ j) if i != j else SignedBasis.zero()
+                assert normalize_product(i, j, 4) == want
+
+    def test_accepted_instances_are_sound(self):
+        # Candidates of each rule's shape over the words up to level 4, t up
+        # to 5; the matcher must accept exactly those meeting the side
+        # conditions, and each accepted one must negate the value.
+        words, index = [_word_tree(m) for m in range(1, 32)], _tree_index
+        candidates, wanted = [], set()
+        for x in words:
+            for y in words:
+                candidates.append((RULE_ANTISYMMETRY, (x, y), (y, x)))
+                if x != y:
+                    wanted.add(candidates[-1])
+                for z in words:
+                    candidates.append((RULE_CANCELLATION, (x, (z, y)), y))
+                    if z == x != y:
+                        wanted.add(candidates[-1])
+                for t in range(6):
+                    candidates.append((RULE_SHIFT, (x, (y, t)), ((x, y), t)))
+                    candidates.append((RULE_PAIR_COLLAPSE, ((x, t), (y, t)), (x, y)))
+                    if x != y and index(x) | index(y) < 1 << t:
+                        wanted.update(candidates[-2:])
+        accepted = {c for c in candidates if _rewrites(c[0], (1, c[1]), (-1, c[2]))}
+        assert accepted == wanted
+        assert len(accepted) == 4236
+        for rule, before, after in accepted:
+            (s, m), (s_after, m_after) = cd_value(before), cd_value(after)
+            assert m == m_after != 0 and s == -s_after, (rule, before, after)
+        # The side condition x != y is needed: x × (x × u_t) and (x × x) × u_t
+        # are the same unit, -u_t, so a shift there would not negate.  A
+        # square x × x is real, so its cross-product part is zero.
+        for x in words:
+            for t in range(index(x).bit_length(), 6):
+                assert cd_value((x, (x, t))) == cd_value(((x, x), t)) == (-1, 1 << t)
+            assert _rewrites(RULE_ANTISYMMETRY, (1, (x, x)), ZERO_EXPR)
+            assert cd_value((x, x))[1] == 0
+
+    # (rule, before, after): one instance of each rule, in and out of context.
+    INSTANCES = {
+        "antisymmetry": (RULE_ANTISYMMETRY, (1, (1, 0)), (-1, (0, 1))),
+        "antisymmetry-in-context": (RULE_ANTISYMMETRY, (-1, ((1, 0), 2)), (1, ((0, 1), 2))),
+        "square": (RULE_ANTISYMMETRY, (1, ((0, 1), (0, 1))), ZERO_EXPR),
+        "cancellation": (RULE_CANCELLATION, (1, (0, (0, 2))), (-1, 2)),
+        "cancellation-top-first": (RULE_CANCELLATION, (1, ((2, (2, 0)), 3)), (-1, (0, 3))),
+        "shift": (RULE_SHIFT, (1, (1, (0, 2))), (-1, ((1, 0), 2))),
+        "pair-collapse": (RULE_PAIR_COLLAPSE, (1, ((0, 2), (1, 2))), (-1, (0, 1))),
+    }
+
+    # Each breaks one side condition of a rule, or the sign, or the rule cited.
+    MUTATIONS = {
+        "shift-x-equals-y": (RULE_SHIFT, (1, (0, (0, 2))), (-1, ((0, 0), 2))),
+        "shift-t-not-above-x": (RULE_SHIFT, (1, (2, (0, 1))), (-1, ((2, 0), 1))),
+        "shift-t-not-above-y": (RULE_SHIFT, (1, (0, (2, 1))), (-1, ((0, 2), 1))),
+        "shift-x-no-word": (RULE_SHIFT, (1, ((1, 0), (2, 3))), (-1, (((1, 0), 2), 3))),
+        "pair-collapse-x-equals-y": (RULE_PAIR_COLLAPSE, (1, ((0, 2), (0, 2))), (-1, (0, 0))),
+        "pair-collapse-t-not-above": (RULE_PAIR_COLLAPSE, (1, ((2, 1), (0, 1))), (-1, (2, 0))),
+        "pair-collapse-two-tops": (RULE_PAIR_COLLAPSE, (1, ((0, 2), (1, 3))), (-1, (0, 1))),
+        "cancellation-z-not-x": (RULE_CANCELLATION, (1, (0, (1, 2))), (-1, 2)),
+        "cancellation-x-equals-y": (RULE_CANCELLATION, (1, (0, (0, 0))), (-1, 0)),
+        "antisymmetry-x-equals-y": (RULE_ANTISYMMETRY, (1, (1, 1)), (-1, (1, 1))),
+        "antisymmetry-no-word": (RULE_ANTISYMMETRY, (1, ((1, 0), 2)), (-1, (2, (1, 0)))),
+        "keeps-sign": (RULE_ANTISYMMETRY, (1, (1, 0)), (1, (0, 1))),
+        "zero-without-square": (RULE_ANTISYMMETRY, (1, (0, 1)), ZERO_EXPR),
+        "zero-square-in-context": (RULE_ANTISYMMETRY, (1, ((1, 1), 2)), ZERO_EXPR),
+        "zero-by-cancellation": (RULE_CANCELLATION, (1, (1, 1)), ZERO_EXPR),
+        "two-subterms": (RULE_ANTISYMMETRY, (1, ((1, 0), (3, 2))), (-1, ((0, 1), (2, 3)))),
+        "shift-cited-as-pair-collapse": (RULE_PAIR_COLLAPSE, (1, (1, (0, 2))), (-1, ((1, 0), 2))),
+        "unknown-rule": ("made-up", (1, (1, 0)), (-1, (0, 1))),
+        "after-zero": (RULE_ANTISYMMETRY, ZERO_EXPR, (1, (0, 1))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_rule_instance_is_accepted(self, name):
+        rule, before, after = self.INSTANCES[name]
+        assert _rewrites(rule, before, after)
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_side_condition_mutation_is_rejected(self, name):
+        rule, before, after = self.MUTATIONS[name]
+        assert not _rewrites(rule, before, after)
+
+    def test_initial_must_be_a_product_of_two_words(self):
+        # Each derivation below is sound step by step and ends at its result;
+        # only its initial expression is wrong.
+        swap = RewriteStep(RULE_ANTISYMMETRY, (-1, ((0, 1), 2)))
+        assert not RewriteTrace((1, ((1, 0), 2)), (swap,), SignedBasis(-1, 7)).replay()
+        collapse = RewriteStep(RULE_PAIR_COLLAPSE, (1, (0, 1)))
+        assert not RewriteTrace((-1, ((0, 2), (1, 2))), (collapse,), SignedBasis(1, 3)).replay()
+        assert not RewriteTrace((1, 7), (), SignedBasis(1, 128)).replay()
+        # The same steps from the product of two words replay.
+        trace = RewriteTrace((1, ((0, 2), (1, 2))), (RewriteStep(RULE_PAIR_COLLAPSE, (-1, (0, 1))),),
+                             SignedBasis(-1, 3))
+        assert trace == normalize_product_traced(5, 6, 2)[1] and trace.replay()
 
 
 # == tables ==================================================================
