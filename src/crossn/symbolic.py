@@ -260,12 +260,16 @@ def normalize_product(i: int, j: int, k: int) -> SignedBasis:
 
 
 def tree_str(tree: Tree) -> str:
-    if isinstance(tree, int):
-        return f"u{tree}"
-    left, right = tree
-    ls = tree_str(left) if isinstance(left, int) else f"({tree_str(left)})"
-    rs = tree_str(right) if isinstance(right, int) else f"({tree_str(right)})"
-    return f"{ls} × {rs}"
+    out, stack = [], [tree]  # an explicit stack, so a tree of any depth renders
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (int, str)):
+            out.append(node if isinstance(node, str) else f"u{node}")
+        else:
+            left, right = node
+            for part in (right, " × ", left):  # pushed last to first
+                stack += [")", part, "("] if isinstance(part, tuple) else [part]
+    return "".join(out)
 
 
 def expr_str(expr: Expr) -> str:

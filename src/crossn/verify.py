@@ -455,8 +455,7 @@ def classify_dimensions(
     never depend on sampler luck; the surviving levels are exactly k = 1 and
     k = 2 (dimensions 3 and 7).
     """
-    if not 1 <= max_k <= symbolic.MAX_LEVEL:
-        raise ValueError(f"max_k must be in 1..{symbolic.MAX_LEVEL}, got {max_k}")
+    symbolic._check_level(max_k, 1)
     verdicts = []
     for k in range(1, max_k + 1):
         product = product_for_table(symbolic.build_table(k))

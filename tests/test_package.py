@@ -1,11 +1,10 @@
-"""The top-level package re-exports the public names of its submodules.
+"""The top-level package holds no API of its own; each public name is
+imported from the submodule that defines it.
 
 Core claims:
-    - every name that ``crossn`` re-exports resolves from the package and is
-      the very object its submodule defines
-    - ``import crossn`` loads no submodule but lists every re-export in
-      ``dir``, a ``table`` command never loads ``verify``, and importing a
-      re-export of ``verify`` loads it
+    - ``import crossn`` loads no submodule and serves no submodule's names
+    - a ``table`` command loads ``cli``, ``symbolic`` and ``vecalg`` only,
+      and ``verify`` loads when it is imported
 """
 
 import json
@@ -18,38 +17,11 @@ from pathlib import Path
 import pytest
 
 import crossn
-from crossn import symbolic, vecalg, verify
-
-REEXPORTS = {
-    vecalg: (
-        "DOUBLE", "EXACT", "Scalar", "Vector", "cross3", "cross7", "det_product", "dot",
-        "format_vector", "padded_cross", "parse_vector", "table_product",
-    ),
-    symbolic: (
-        "BasisWord", "MulTable", "RewriteStep", "RewriteTrace", "SignedBasis", "build_basis",
-        "build_table", "counterexample_vectors", "normalize_product",
-        "normalize_product_traced", "table_from_json", "table_to_csv", "table_to_json",
-        "table_to_markdown",
-    ),
-    verify: (
-        "AxiomReport", "DimensionVerdict", "ProductUnderTest", "Witness", "check_bilinear",
-        "check_identities", "check_perpendicular", "check_pythagorean",
-        "classify_dimensions", "cross3_product", "cross7_product", "expected_verdict",
-        "padded_product", "product_for_table", "replay",
-    ),
-}
-NAMES = [(module, name) for module, names in REEXPORTS.items() for name in names]
 
 
-def test_every_reexport_is_listed_once():
-    assert len(NAMES) == len({name for _, name in NAMES}) == 41
-
-
-@pytest.mark.parametrize(
-    "module, name", NAMES, ids=[f"{m.__name__.split('.')[-1]}.{n}" for m, n in NAMES]
-)
-def test_reexport_is_the_submodule_object(module, name):
-    assert getattr(crossn, name) is getattr(module, name)
+def test_the_package_serves_no_submodule_name():
+    with pytest.raises(AttributeError):
+        crossn.build_table
 
 
 LOADS = textwrap.dedent("""
@@ -59,14 +31,13 @@ LOADS = textwrap.dedent("""
         return sorted(m for m in sys.modules if m.startswith("crossn."))
 
     import crossn
-    listed = dir(crossn)
     stages = [loaded()]
     import crossn.cli
     crossn.cli.main(["--output", os.devnull, "table", "--k", "2"])
     stages.append(loaded())
-    from crossn import replay
+    import crossn.verify
     stages.append(loaded())
-    print(json.dumps([listed, stages]))
+    print(json.dumps(stages))
 """)
 
 
@@ -79,9 +50,7 @@ def test_a_command_loads_only_the_modules_it_runs():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    listed, stages = json.loads(done.stdout)
-    assert {name for _, name in NAMES} <= set(listed)
-    assert stages == [
+    assert json.loads(done.stdout) == [
         [],
         ["crossn.cli", "crossn.symbolic", "crossn.vecalg"],
         ["crossn.cli", "crossn.symbolic", "crossn.vecalg", "crossn.verify"],

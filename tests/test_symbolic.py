@@ -15,7 +15,8 @@ Core claims:
       accepts only what a value-only reference replay accepts, agrees with it
       on honest and sign-flipped traces, and rejects the replaced afters and
       dropped steps that the reference accepts; a malformed expression, a
-      deeply nested one included, replays False without raising
+      deeply nested one included, replays False without raising, and a
+      trace of any depth renders
     - every rule instance that replay accepts on the words up to level 4 is
       sound against an independent Cayley-Dickson sign function, the matcher
       accepts exactly the instances that meet the side conditions, and a
@@ -384,6 +385,14 @@ class TestTracedNormalizer:
         assert RewriteTrace((1, (deep, 2)), trace.steps, result).replay() is False
         step = RewriteStep(RULE_PAIR_COLLAPSE, (-1, (deep, 1)))
         assert RewriteTrace(trace.initial, (step,), result).replay() is False
+
+    def test_deeply_nested_expression_renders(self):
+        deep = 1
+        for _ in range(5000):
+            deep = (deep, 1)
+        trace = RewriteTrace((1, (deep, 2)), (), SignedBasis(1, 3))
+        assert trace.replay() is False
+        assert str(trace) == "(" * 5000 + "u1 × u1" + ") × u1" * 4999 + ") × u2"
 
 
 def recursive_norm_indices(i, j):

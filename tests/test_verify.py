@@ -336,6 +336,9 @@ class TestClassifyDimensions:
             classify_dimensions(0)
         with pytest.raises(ValueError):
             classify_dimensions(11)
+        for bad in (True, 2.0):  # not ints: a bool would run level 1
+            with pytest.raises(ValueError, match="^level must be in 1..10, got "):
+                classify_dimensions(bad)
 
     def test_single_level(self):
         (verdict,) = classify_dimensions(1, samples=30)
