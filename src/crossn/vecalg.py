@@ -383,8 +383,9 @@ def table_product(table, u: Vector, v: Vector) -> Vector:
 
     ``table`` is any object exposing ``n`` and sign rows ``signs``, where
     ``signs[i][j]`` in {-1, 0, 1} is the sign of e_i x e_j = s e_(i ^ j) for
-    1-indexed i and j.  Terms are added in i-then-j order.  Zero coordinates
-    are skipped, so products of sparse vectors cost only the nonzero support.
+    1-indexed i and j.  Terms are added in i-then-j order.  The cost is one
+    pass over each operand, then one multiply and one add or subtract per
+    pair of nonzero coordinates whose cell is nonzero; the sign picks which.
     """
     _check_pair(u, v, "table_product")
     if u.dim != table.n:
@@ -400,6 +401,8 @@ def table_product(table, u: Vector, v: Vector) -> Vector:
         row = signs[i]
         for j, b in right:
             s = row[j]
-            if s:
-                acc[(i ^ j) - 1] += s * a * b
+            if s > 0:
+                acc[(i ^ j) - 1] += a * b
+            elif s < 0:
+                acc[(i ^ j) - 1] -= a * b
     return Vector._of(tuple(acc), u.mode)

@@ -662,6 +662,13 @@ class TestOutputFile:
 # reports at the default seed, tables in every format, exact and double
 # products, and classify and counterexample up to level 10.  --help is left
 # out, because argparse wraps it differently across Python versions.
+# Dense level-4 operands for table crosses: exact ones with denominators far
+# outside the verifier's {1, 2, 3}, and decimal ones whose float sums round.
+_U31 = ",".join(f"{(-1) ** i * i}/{i + 4}" for i in range(1, 32))
+_V31 = ",".join(f"{32 - i}/{2 * i + 3}" for i in range(1, 32))
+_FLOAT_U31 = ",".join(str((-1) ** i * i / 8) for i in range(1, 32))
+_FLOAT_V31 = ",".join(str((32 - i) / 10) for i in range(1, 32))
+
 GOLDEN_DIGESTS = {
     ("verify", "--product", "cross7", "--samples", "20"):
         "1710b91bf3cc4caf8b5af819dc77880f7b1a557b73611150c7540dd4eaf4a9c5",
@@ -721,6 +728,11 @@ GOLDEN_DIGESTS = {
         "f036f59543087d318c901f81a621638637ec94771a8c0fb8a31bdff822ff19d9",
     ("counterexample", "--k", "10"):
         "540a5e936819e17453f2b4aba9b5b058341812668cf2cc298bb310662f89fd2a",
+    ("cross", "--product", "table", "--n", "31", "--u=" + _U31, "--v=" + _V31):
+        "1ccd2fc7c73c34265f3a850a73d54ac7a5a1d131c26358cfcf6fe868d8c8faa7",
+    ("--float", "cross", "--product", "table", "--n", "31",
+     "--u=" + _FLOAT_U31, "--v=" + _FLOAT_V31):
+        "0e7fe7d8ce5252db516e4f2cba5b286cf7e8ac165bad764dd67b645c46cc3793",
 }
 
 # An id is the argv's first four words, or all of them once those are taken.

@@ -13,6 +13,9 @@ Core claims:
     - the integer kernels behind exact dot/cross3/cross7/padded_cross and
       exact scaled/+/- equal a term-by-term Fraction evaluation, and double
       mode is bit-identical to the plain float formulas
+    - table_product, which adds or subtracts each term by its cell's sign,
+      equals the loop that multiplied by the sign: the same Fractions, and
+      the same bits in double mode, infinities and NaNs included
     - a vector's cleared integers are kept on it and equal a fresh clearing
 """
 
@@ -22,10 +25,12 @@ import random
 import re
 import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossn.symbolic import build_table
 from crossn.vecalg import (
     DOUBLE,
     EXACT,
@@ -38,6 +43,7 @@ from crossn.vecalg import (
     format_vector,
     padded_cross,
     parse_vector,
+    table_product,
 )
 
 
@@ -408,6 +414,22 @@ def _ref_padded(x, y):
     return _ref_cross3(x[:3], y[:3]) + (zero,) * (len(x) - 3)
 
 
+def _ref_table_product(table, x, y, zero):
+    # table_product's loop as it was when it multiplied each term by its sign.
+    signs = table.signs
+    right = [(j, b) for j, b in enumerate(y, start=1) if b]
+    acc = [zero] * table.n
+    for i, a in enumerate(x, start=1):
+        if not a:
+            continue
+        row = signs[i]
+        for j, b in right:
+            s = row[j]
+            if s:
+                acc[(i ^ j) - 1] += s * a * b
+    return tuple(acc)
+
+
 # (product, reference formula, dimensions to draw)
 KERNELS = {
     "cross3": (cross3, _ref_cross3, (3,)),
@@ -436,6 +458,27 @@ def _draw_pair(data, dims, element):
 
 def _bits(values):
     return [struct.pack("<d", c) for c in values]
+
+
+# Signed zeros, the smallest subnormal and values whose sums overflow to inf,
+# and whose inf - inf terms make NaN.
+EDGE_FLOATS = st.one_of(
+    FINITE_FLOATS, st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308))
+)
+
+
+def _draw_table(data):
+    """The level-k table for k in 1..4, or a duck-typed table of that size
+    whose off-diagonal signs are drawn from {-1, 0, 1}."""
+    k = data.draw(st.integers(1, 4), label="k")
+    if data.draw(st.booleans(), label="built"):
+        return build_table(k)
+    n = 2 ** (k + 1) - 1
+    row = st.lists(st.sampled_from((-1, 0, 1)), min_size=n + 1, max_size=n + 1)
+    signs = [data.draw(row) for _ in range(n + 1)]
+    for i in range(n + 1):
+        signs[i][i] = 0  # e_i x e_i has no basis index i ^ i
+    return SimpleNamespace(n=n, signs=signs)
 
 
 class TestIntegerKernels:
@@ -541,3 +584,23 @@ class TestIntegerKernels:
         # Results of the integer kernels clear like fresh vectors too.
         for out in (v + v, v.scaled(Fraction(-3, 7)), v - v):
             assert _cleared(out) == _cleared(Vector.exact(out.coords))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_exact_table_product_matches_the_multiplying_loop(self, data):
+        table = _draw_table(data)
+        x, y = _draw_pair(data, (table.n,), wide_rationals())
+        out = table_product(table, Vector.exact(x), Vector.exact(y))
+        assert out.mode == "exact"
+        assert all(type(c) is Fraction for c in out.coords)
+        assert out.coords == _ref_table_product(table, x, y, Fraction(0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_double_table_product_is_bit_identical(self, data):
+        table = _draw_table(data)
+        x, y = _draw_pair(data, (table.n,), EDGE_FLOATS)
+        out = table_product(table, Vector.double(x), Vector.double(y))
+        assert out.mode == DOUBLE
+        assert all(type(c) is float for c in out.coords)
+        assert _bits(out.coords) == _bits(_ref_table_product(table, x, y, 0.0))
