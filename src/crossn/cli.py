@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import stat
 import sys
@@ -195,6 +194,8 @@ def cmd_verify(args, parser) -> Tuple[str, int]:
     product = _product_under_test(args, parser)
     axioms = _parse_axioms(args.axioms, parser)
     options = {k: v for k, v in (("samples", args.samples), ("seed", args.seed)) if v is not None}
+
+    import json
 
     from . import verify
 

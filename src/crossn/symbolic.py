@@ -43,14 +43,12 @@ against an independent Cayley-Dickson sign function.
 
 from __future__ import annotations
 
-import json
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, islice
 from operator import eq, getitem
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .vecalg import Vector
 
@@ -92,19 +90,18 @@ def _check_level(k: int, low: int) -> None:
         raise ValueError(f"level must be in {low}..{MAX_LEVEL}, got {k!r}")
 
 
-@dataclass(frozen=True)
-class BasisWord:
+class BasisWord(NamedTuple("BasisWord", [("generators", frozenset)])):
     """Canonical nested product of generators, e.g. {0,1,2} = (u0 x u1) x u2."""
 
-    generators: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        gens = frozenset(self.generators)
+    def __new__(cls, generators):
+        gens = frozenset(generators)
         if not gens:
             raise ValueError("a basis word needs at least one generator")
         if any(type(b) is not int or b < 0 for b in gens):
             raise ValueError(f"generators must be non-negative ints, got {set(gens)}")
-        object.__setattr__(self, "generators", gens)
+        return tuple.__new__(cls, (gens,))
 
     @classmethod
     def from_index(cls, index: int) -> "BasisWord":
@@ -149,24 +146,25 @@ def build_basis(k: int) -> List[BasisWord]:
     return words
 
 
-@dataclass(frozen=True)
-class SignedBasis:
+class SignedBasis(NamedTuple("SignedBasis", [("sign", int), ("index", int)])):
     """Either zero or a signed basis element: sign * e_index.
 
     The zero cell is encoded as sign == 0, index == 0 (it carries no basis
-    information).  ``value`` is the lossless integer form sign * index.
+    information).  ``value`` is the lossless integer form sign * index.  As a
+    named tuple it also equals the plain tuple of its fields:
+    ``SignedBasis(1, 3) == (1, 3)``.
     """
 
-    sign: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if (self.sign == 0) != (self.index == 0):
-            raise ValueError(f"zero has no index: sign={self.sign}, index={self.index}")
-        if self.index < 0:
-            raise ValueError(f"index must be >= 0, got {self.index}")
+    def __new__(cls, sign: int, index: int):
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
+        if (sign == 0) != (index == 0):
+            raise ValueError(f"zero has no index: sign={sign}, index={index}")
+        if index < 0:
+            raise ValueError(f"index must be >= 0, got {index}")
+        return tuple.__new__(cls, (sign, index))
 
     @classmethod
     def zero(cls) -> "SignedBasis":
@@ -282,14 +280,12 @@ def expr_str(expr: Expr) -> str:
     return ("−" if sign < 0 else "") + body
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     rule: str
     after: Expr
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
+class RewriteTrace(NamedTuple):
     """Full reduction chain from a product of two basis words to normal form:
     ``initial``, then each step's rule and the expression it rewrites to."""
 
@@ -411,27 +407,28 @@ def normalize_product_traced(i: int, j: int, k: int) -> Tuple[SignedBasis, Rewri
 # --- multiplication tables -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MulTable:
+class MulTable(NamedTuple):
     """The n x n table of signed basis cells defining a bilinear product.
 
     A table is its level k and its sign rows; n = 2**(k+1) - 1 follows from k.
     ``signs[i][j]`` is the sign s in {-1, 0, 1} of e_i x e_j = s e_(i ^ j)
     for 1 <= i, j <= n.  Row 0 and column 0 name no basis element and stay
-    zero, so that rows and columns are indexed by i and j themselves.
+    zero, so that rows and columns are indexed by i and j themselves.  As a
+    named tuple a table also equals the plain tuple ``(k, signs)``.
     """
 
     k: int
     signs: Tuple[array, ...]
 
-    @cached_property
+    @property
     def n(self) -> int:
         return _index_bound(self.k)
 
     def entry(self, i: int, j: int) -> SignedBasis:
         """Cell for e_i x e_j (1-indexed)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"cell ({i},{j}) out of range 1..{self.n}")
+        n = self.n
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"cell ({i},{j}) out of range 1..{n}")
         s = self.signs[i][j]
         return SignedBasis(s, i ^ j) if s else SignedBasis.zero()
 
@@ -577,6 +574,8 @@ def table_from_json(text: str) -> MulTable:
     integer (not a bool), cell (i, j) must be 0 on the diagonal and +-(i ^ j)
     off it, and the result must pass ``validate``.
     """
+    import json  # only here, so that a cold `table` command does not load it
+
     try:
         doc = json.loads(text)
     except RecursionError as exc:

@@ -4,6 +4,11 @@ Core claims:
     - build_basis follows the recursion (previous level, new generator,
       previous level times new generator) and has 2**(k+1)-1 elements
     - the generator-set encoding is a bijection onto 1..2**(k+1)-1
+    - the five value types (BasisWord, SignedBasis, RewriteStep,
+      RewriteTrace, MulTable) are immutable records: a pinned repr, the same
+      value by position and by keyword, equality and hash by fields (a
+      plain tuple of the fields included), AttributeError on assignment,
+      and pickle and copy round trips, which re-run the construction checks
     - normalize_product reproduces the published 3x3 and 7x7 tables
     - the traced normalizer (the sign kernel with a step recorder) agrees
       with the fast one everywhere and with the recursive traced reference it
@@ -15,8 +20,9 @@ Core claims:
       accepts only what a value-only reference replay accepts, agrees with it
       on honest and sign-flipped traces, and rejects the replaced afters and
       dropped steps that the reference accepts; a malformed expression, a
-      deeply nested one included, replays False without raising, and a
-      trace of any depth renders
+      deeply nested one included, replays False without raising, so does a
+      named tuple that equals an honest expression, and a trace of any
+      depth renders
     - every rule instance that replay accepts on the words up to level 4 is
       sound against an independent Cayley-Dickson sign function, the matcher
       accepts exactly the instances that meet the side conditions, and a
@@ -50,8 +56,10 @@ Core claims:
       equals the pair built from its basis words at every level 3..10
 """
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import re
 from array import array
@@ -198,6 +206,83 @@ class TestSignedBasis:
         assert str(SignedBasis(1, 3)) == "e3"
         assert str(SignedBasis(-1, 4)) == "−e4"
         assert str(SignedBasis.zero()) == "0"
+
+
+# == value types =============================================================
+
+# Each value type with a pinned value: its fields by name, and its repr.
+R1_SIGNS = (array("b", [0, 0, 0, 0]), array("b", [0, 0, 1, -1]),
+            array("b", [0, -1, 0, 1]), array("b", [0, 1, -1, 0]))
+VALUE_TYPES = [
+    (BasisWord, {"generators": frozenset({0, 2})},
+     "BasisWord(generators=frozenset({0, 2}))"),
+    (SignedBasis, {"sign": -1, "index": 3}, "SignedBasis(sign=-1, index=3)"),
+    (RewriteStep, {"rule": "cancellation", "after": (-1, 1)},
+     "RewriteStep(rule='cancellation', after=(-1, 1))"),
+    (RewriteTrace,
+     {"initial": (1, (0, (0, 1))), "steps": (RewriteStep("cancellation", (-1, 1)),),
+      "result": SignedBasis(-1, 2)},
+     "RewriteTrace(initial=(1, (0, (0, 1))), steps=(RewriteStep(rule='cancellation',"
+     " after=(-1, 1)),), result=SignedBasis(sign=-1, index=2))"),
+    (MulTable, {"k": 1, "signs": R1_SIGNS},
+     "MulTable(k=1, signs=(array('b', [0, 0, 0, 0]), array('b', [0, 0, 1, -1]),"
+     " array('b', [0, -1, 0, 1]), array('b', [0, 1, -1, 0])))"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text", VALUE_TYPES, ids=[cls.__name__ for cls, _, _ in VALUE_TYPES]
+)
+class TestValueTypes:
+    """The five value types are immutable records: fields in a fixed order,
+    built by position or keyword, equal and hashed by their fields."""
+
+    def test_repr(self, cls, fields, text):
+        assert repr(cls(**fields)) == text
+
+    def test_keyword_and_positional_construction_agree(self, cls, fields, text):
+        value = cls(**fields)
+        assert type(value) is cls and value == cls(*fields.values())
+        assert cls._fields == tuple(fields)
+        assert [getattr(value, name) for name in fields] == list(fields.values())
+
+    def test_equality_and_hash_by_fields(self, cls, fields, text):
+        value, twin = cls(**fields), cls(*fields.values())
+        # A named tuple also equals the plain tuple of its fields.
+        assert value == twin == tuple(fields.values())
+        if cls is MulTable:  # array rows are not hashable
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(twin) == hash(tuple(fields.values()))
+
+    def test_assignment_raises(self, cls, fields, text):
+        value = cls(**fields)
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+
+    def test_pickle_and_copy_round_trip(self, cls, fields, text):
+        value = cls(**fields)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is cls and twin == value and repr(twin) == text
+
+
+@pytest.mark.parametrize(
+    "cls, fields, message",
+    [
+        (BasisWord, (frozenset(),), "a basis word needs at least one generator"),
+        (BasisWord, (frozenset({True}),), "generators must be non-negative ints, got {True}"),
+        (SignedBasis, (2, 3), "sign must be -1, 0 or +1, got 2"),
+        (SignedBasis, (0, 3), "zero has no index: sign=0, index=3"),
+        (SignedBasis, (-1, -3), "index must be >= 0, got -3"),
+    ],
+)
+def test_copies_rerun_the_checks(cls, fields, message):
+    bad = tuple.__new__(cls, fields)  # made past the checks
+    for remake in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            remake(bad)
 
 
 # == normalizer ==============================================================
@@ -376,6 +461,16 @@ class TestTracedNormalizer:
         bad_step = RewriteStep(step.rule, (-1, (False, 1)))
         assert not RewriteTrace(trace.initial, (bad_step,), result).replay()
         assert not RewriteTrace((1, ((False, 2), (1, 2))), trace.steps, result).replay()
+
+    def test_named_tuples_are_not_expressions(self):
+        # The bad step's after equals the honest one by ==, as a named tuple
+        # equals the plain tuple of its fields; replay takes only plain tuples.
+        result, trace = normalize_product_traced(1, 3, 1)
+        (step,) = trace.steps
+        assert trace.replay() and step.after == (-1, 1) == SignedBasis(-1, 1)
+        bad_step = RewriteStep(step.rule, SignedBasis(-1, 1))
+        assert RewriteTrace(trace.initial, (bad_step,), result).replay() is False
+        assert RewriteTrace(SignedBasis(1, 3), (), SignedBasis(1, 3)).replay() is False
 
     def test_deeply_nested_expression_replays_false(self):
         deep = 0
