@@ -199,18 +199,15 @@ def cmd_verify(args, parser) -> Tuple[str, int]:
 
     from . import verify
 
+    # The benchmark's tracing wraps the four group checkers by name, so they
+    # are called here rather than verify.check: a traced run's
+    # verify.check.* spans then equal the reports' case counts.
     reports: List[verify.AxiomReport] = []
     for axiom in axioms:
         found = getattr(verify, f"check_{axiom}")(product, **options)
         reports += found if axiom == "identities" else [found]
-
-    status = 0
-    for report in reports:
-        expected = verify.expected_verdict(product, report.axiom)
-        if expected is not None and report.verdict != expected:
-            status = 1
     text = json.dumps([r.to_json_dict() for r in reports], indent=2)
-    return text, status
+    return text, int(any(r.unexpected for r in reports))
 
 
 def _support_str(v: Vector) -> str:
@@ -273,26 +270,23 @@ def cmd_classify(args, parser) -> Tuple[str, int]:
         parser.error(f"--max-k must be in 1..{symbolic.MAX_LEVEL}")
     from . import verify
 
-    verdicts = verify.classify_dimensions(args.max_k)
+    reports = verify.classify_dimensions(args.max_k)
     lines = []
-    status = 0
-    for d in verdicts:
-        if d.report.refuted:
-            w = d.report.witness
+    for k, report in enumerate(reports, start=1):
+        if report.refuted:
+            w = report.witness
             lines.append(
-                f"k={d.k} n={d.report.dim}: pythagorean refuted  "
+                f"k={k} n={report.dim}: pythagorean refuted  "
                 f"witness u={_support_str(w.u)} v={_support_str(w.v)} "
                 f"(lhs {w.lhs}, rhs {w.rhs})"
             )
         else:
-            lines.append(f"k={d.k} n={d.report.dim}: pythagorean {d.report.verdict}")
-        if d.report.verdict != d.expected:
-            status = 1
+            lines.append(f"k={k} n={report.dim}: pythagorean {report.verdict}")
     lines.append(
         "a cross product exists only in dimensions 0, 1, 3 and 7; "
         "in dimensions 0 and 1 the zero map is a valid cross product"
     )
-    return "\n".join(lines), status
+    return "\n".join(lines), int(any(r.unexpected for r in reports))
 
 
 def _check_output_path(path: str) -> None:

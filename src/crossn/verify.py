@@ -8,10 +8,10 @@ with a concrete witness.  All decisions are exact: no tolerance ever enters a
 verdict, and a refuted report's witness can be replayed from scratch to
 reproduce the violation.
 
-Every axiom is one registry entry ``(cases, test)``: ``cases`` yields the
-staged argument tuples and ``test`` turns one of them into a witness or
-None.  One driver runs the cases of any axiom, and ``replay`` reruns the
-same test on a witness's operands.
+Every axiom is one registry entry ``(arity, cases, test)``: ``cases`` yields
+the staged argument tuples and ``test`` turns one of them into a witness or
+None.  One entry point, ``check``, runs the cases of any axiom, and ``replay``
+reruns the same test on a witness's operands.
 
 The random sampler draws coordinates with numerators in -9..9 and
 denominators from {1, 2, 3}, so corpora are small, exact and reproducible
@@ -128,10 +128,17 @@ class AxiomReport:
     witness: Optional[Witness]
     samples_run: int
     rng_seed: int
+    # The verdict the theory predicts (``expected_verdict``); not in the JSON.
+    expected: Optional[str] = None
 
     @property
     def refuted(self) -> bool:
         return self.verdict == REFUTED
+
+    @property
+    def unexpected(self) -> bool:
+        """True when the theory predicts a verdict and this one differs."""
+        return self.expected not in (None, self.verdict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,7 +210,7 @@ def _memoised(product: ProductUnderTest) -> ProductUnderTest:
 # --- case stages: each yields the argument tuples of one axiom's test ------
 
 
-def _unit_cases(product, units, samples, rng, arity=2, distinct=False):
+def _unit_cases(product, units, samples, rng, arity, distinct=False):
     """Every ``arity``-tuple of ``units``, then ``samples`` random tuples.
 
     Basis triples run only up to BASIS_TRIPLE_LIMIT.  With ``distinct`` both
@@ -224,12 +231,12 @@ def _unit_cases(product, units, samples, rng, arity=2, distinct=False):
             yield tuple(random_vector(rng, n) for _ in range(arity))
 
 
-def _pythagorean_cases(product, units, samples, rng):
+def _pythagorean_cases(product, units, samples, rng, arity):
     """The known falsifying pair first, so refutations carry the canonical
     witness instead of a sampler artifact; then the pair stages."""
     if product.known:
         yield product.known
-    yield from _unit_cases(product, units, samples, rng)
+    yield from _unit_cases(product, units, samples, rng, arity)
 
 
 _FIXED_SCALARS = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
@@ -247,7 +254,7 @@ def _bilinear_operands(p, coeffs, u, u2, v, v2):
     return u.scaled(a) + u2.scaled(b), v.scaled(c) + v2.scaled(d), expansion
 
 
-def _bilinear_cases(product, units, samples, rng):
+def _bilinear_cases(product, units, samples, rng, arity):
     """Basis pairs (u, v) with the next basis vectors as (u2, v2) and fixed
     scalars, then random vectors and scalars, as combined operands plus
     expansion."""
@@ -292,30 +299,28 @@ def _bilinear(p, u, v, expansion):
     return None if lhs == expansion else Witness(u, v, lhs=lhs, rhs=expansion)
 
 
-# Each axiom is (cases, test).  Identities 1.1, 1.4 and 1.6 take triples;
-# the orthonormal ones, 1.5 and 1.6, only distinct basis vectors.
+# Each axiom is (arity, cases, test): ``cases(product, units, samples, rng,
+# arity)`` yields tuples of ``arity`` operands for ``test``.  Bilinear takes
+# its operands plus their expansion, and identities 1.1, 1.4 and 1.6 take
+# triples; the orthonormal ones, 1.5 and 1.6, only distinct basis vectors.
 _AXIOMS = {
-    AXIOM_PERPENDICULAR: (_unit_cases, _perpendicular),
-    AXIOM_PYTHAGOREAN: (_pythagorean_cases, _sides(_pythagorean_sides)),
-    AXIOM_BILINEAR: (_bilinear_cases, _bilinear),
+    AXIOM_PERPENDICULAR: (2, _unit_cases, _perpendicular),
+    AXIOM_PYTHAGOREAN: (2, _pythagorean_cases, _sides(_pythagorean_sides)),
+    AXIOM_BILINEAR: (3, _bilinear_cases, _bilinear),
     "identity-1.1": (
-        partial(_unit_cases, arity=3),
-        _sides(lambda p, u, v, w: (dot(w, p(u, v)), -dot(u, p(w, v)))),
+        3, _unit_cases, _sides(lambda p, u, v, w: (dot(w, p(u, v)), -dot(u, p(w, v))))
     ),
-    "identity-1.2": (_unit_cases, _sides(lambda p, u, v, w: (p(u, v), -p(v, u)))),
+    "identity-1.2": (2, _unit_cases, _sides(lambda p, u, v, w: (p(u, v), -p(v, u)))),
     "identity-1.3": (
+        2,
         _unit_cases,
-        _sides(
-            lambda p, u, v, w: (
-                p(v, p(v, u)),
-                v.scaled(dot(v, u)) - u.scaled(dot(v, v)),
-            )
-        ),
+        _sides(lambda p, u, v, w: (p(v, p(v, u)), v.scaled(dot(v, u)) - u.scaled(dot(v, v)))),
     ),
     # w x (v x u) + (w x v) x u = 2(w.u)v - (w.v)u - (u.v)w; verified by
     # direct expansion in R^3 and exhaustively on both genuine products.
     "identity-1.4": (
-        partial(_unit_cases, arity=3),
+        3,
+        _unit_cases,
         _sides(
             lambda p, u, v, w: (
                 p(w, p(v, u)),
@@ -327,11 +332,11 @@ _AXIOMS = {
         ),
     ),
     "identity-1.5": (
-        partial(_unit_cases, distinct=True),
-        _sides(lambda p, u, v, w: (p(u, p(u, v)), -v)),
+        2, partial(_unit_cases, distinct=True), _sides(lambda p, u, v, w: (p(u, p(u, v)), -v))
     ),
     "identity-1.6": (
-        partial(_unit_cases, arity=3, distinct=True),
+        3,
+        partial(_unit_cases, distinct=True),
         _sides(lambda p, u, v, w: (p(w, p(v, u)), -p(p(w, v), u))),
     ),
 }
@@ -340,17 +345,32 @@ _AXIOMS = {
 IDENTITY_AXIOMS = tuple(a for a in _AXIOMS if a.startswith("identity-"))
 
 
-def _check(product: ProductUnderTest, axiom: str, samples: int, seed: int):
-    """Run ``axiom``'s cases through ``product`` up to the first witness."""
+def _axiom(axiom: str):
+    """``axiom``'s registry entry; the one place an unknown name is rejected."""
+    if axiom not in _AXIOMS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    return _AXIOMS[axiom]
+
+
+def check(
+    product: ProductUnderTest,
+    axiom: str,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+) -> AxiomReport:
+    """Run ``axiom``'s cases through ``product`` up to the first witness.
+
+    The report carries the verdict ``expected_verdict`` predicts.
+    """
+    arity, cases, test = _axiom(axiom)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    cases, test = _AXIOMS[axiom]
     n = product.dim
     # The exhaustive basis stages run only up to BASIS_PAIR_LIMIT.
     units = tuple(Vector.unit(n, i) for i in range(1, n + 1)) if n <= BASIS_PAIR_LIMIT else ()
     memoised = _memoised(product)
     count, witness = 0, None
-    for args in cases(memoised, units, samples, random.Random(seed)):
+    for args in cases(memoised, units, samples, random.Random(seed), arity):
         count += 1
         witness = test(memoised.evaluate, *args)
         if witness is not None:
@@ -363,6 +383,7 @@ def _check(product: ProductUnderTest, axiom: str, samples: int, seed: int):
         witness=witness,
         samples_run=count,
         rng_seed=seed,
+        expected=expected_verdict(product, axiom),
     )
 
 
@@ -374,9 +395,15 @@ def check_case(
     ``w`` is the third vector of the triple identities and the expected
     four-term expansion for bilinear; the other axioms ignore it.
     """
-    if axiom not in _AXIOMS:
-        raise ValueError(f"unknown axiom {axiom!r}")
-    return _AXIOMS[axiom][1](product.evaluate, u, v, w)
+    arity, _, test = _axiom(axiom)
+    if arity == 3 and w is None:
+        raise ValueError(f"axiom {axiom!r} needs a third operand w")
+    return test(product.evaluate, u, v, w)
+
+
+# The four group checkers are single calls of ``check``.  The benchmark's
+# tracing (bench/run.py) wraps them by name to time each group, so
+# ``cli.cmd_verify`` calls them, not ``check``.
 
 
 def check_perpendicular(
@@ -385,7 +412,7 @@ def check_perpendicular(
     seed: int = DEFAULT_SEED,
 ) -> AxiomReport:
     """u.(u x v) == 0 == v.(u x v), over basis pairs then random pairs."""
-    return _check(product, AXIOM_PERPENDICULAR, samples, seed)
+    return check(product, AXIOM_PERPENDICULAR, samples, seed)
 
 
 def check_pythagorean(
@@ -398,7 +425,7 @@ def check_pythagorean(
     The product's known falsifying pair is tried first, so refutations
     carry the canonical witness instead of a sampler artifact.
     """
-    return _check(product, AXIOM_PYTHAGOREAN, samples, seed)
+    return check(product, AXIOM_PYTHAGOREAN, samples, seed)
 
 
 def check_bilinear(
@@ -414,18 +441,7 @@ def check_bilinear(
     operands as the witness pair, so replaying means evaluating the product
     on them and comparing with the recorded expansion value.
     """
-    return _check(product, AXIOM_BILINEAR, samples, seed)
-
-
-def check_identity(
-    product: ProductUnderTest,
-    axiom: str,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> AxiomReport:
-    if axiom not in IDENTITY_AXIOMS:
-        raise ValueError(f"unknown identity {axiom!r}")
-    return _check(product, axiom, samples, seed)
+    return check(product, AXIOM_BILINEAR, samples, seed)
 
 
 def check_identities(
@@ -434,40 +450,26 @@ def check_identities(
     seed: int = DEFAULT_SEED,
 ) -> List[AxiomReport]:
     """One report per identity, in order 1.1 .. 1.6."""
-    return [check_identity(product, a, samples, seed) for a in IDENTITY_AXIOMS]
-
-
-@dataclass(frozen=True)
-class DimensionVerdict:
-    k: int
-    report: AxiomReport
-    expected: Optional[str]
+    return [check(product, a, samples, seed) for a in IDENTITY_AXIOMS]
 
 
 def classify_dimensions(
     max_k: int,
     samples: int = CLASSIFY_SAMPLES,
     seed: int = DEFAULT_SEED,
-) -> List[DimensionVerdict]:
-    """Pythagorean verdict for every table level up to max_k.
+) -> List[AxiomReport]:
+    """Pythagorean report for every table level up to max_k; level k is
+    position k, counting from 1.
 
     The known counterexample pair is injected for k >= 3, so the refutations
     never depend on sampler luck; the surviving levels are exactly k = 1 and
     k = 2 (dimensions 3 and 7).
     """
     symbolic._check_level(max_k, 1)
-    verdicts = []
-    for k in range(1, max_k + 1):
-        product = product_for_table(symbolic.build_table(k))
-        report = check_pythagorean(product, samples=samples, seed=seed)
-        verdicts.append(
-            DimensionVerdict(
-                k=k,
-                report=report,
-                expected=expected_verdict(product, AXIOM_PYTHAGOREAN),
-            )
-        )
-    return verdicts
+    return [
+        check_pythagorean(product_for_table(symbolic.build_table(k)), samples, seed)
+        for k in range(1, max_k + 1)
+    ]
 
 
 def replay(report: AxiomReport, product: ProductUnderTest) -> bool:

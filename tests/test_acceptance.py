@@ -31,7 +31,7 @@ from crossn.vecalg import Vector, cross3, cross7, det_product, dot, table_produc
 from crossn.verify import (
     HOLDS,
     IDENTITY_AXIOMS,
-    check_identity,
+    check,
     check_pythagorean,
     classify_dimensions,
     padded_product,
@@ -110,20 +110,20 @@ def test_c04_level3_witness_quantities():
 
 def test_c05_classification_through_level_6():
     done = _timed(60.0)
-    verdicts = classify_dimensions(6, samples=1000, seed=SEED)
-    assert [d.report.refuted for d in verdicts] == [
+    reports = classify_dimensions(6, samples=1000, seed=SEED)
+    assert [r.refuted for r in reports] == [
         False, False, True, True, True, True,
     ]
-    assert [d.report.dim for d in verdicts] == [3, 7, 15, 31, 63, 127]
-    for d in verdicts:
-        product = product_for_table(build_table(d.k))
-        if d.report.refuted:
-            assert d.report.witness is not None
-            assert replay(d.report, product)
-            _EMITTED.append((product, d.report))
+    assert [r.dim for r in reports] == [3, 7, 15, 31, 63, 127]
+    for k, report in enumerate(reports, start=1):
+        product = product_for_table(build_table(k))
+        if report.refuted:
+            assert report.witness is not None
+            assert replay(report, product)
+            _EMITTED.append((product, report))
         else:
             # all 49/9 basis pairs plus the 1000 random samples ran
-            assert d.report.samples_run == d.report.dim**2 + 1000
+            assert report.samples_run == report.dim**2 + 1000
     done("C5 classification k=1..6 (holds, holds, then refuted with witness)")
 
 
@@ -188,7 +188,7 @@ def test_c09_identity_suite():
 
     for product in (cross3_product(), cross7_product()):
         for axiom in IDENTITY_AXIOMS:
-            report = check_identity(product, axiom, samples=500, seed=SEED)
+            report = check(product, axiom, samples=500, seed=SEED)
             assert report.verdict == HOLDS, (product.name, axiom)
     done("C9 identities 1.1-1.6 hold on cross3 and cross7 (500 triples each)")
 
@@ -198,7 +198,7 @@ def test_c10_witness_replay():
     # widen the pool: the level-3 table's empirically failing identities
     table3 = product_for_table(build_table(3))
     for axiom in IDENTITY_AXIOMS:
-        report = check_identity(table3, axiom, samples=40, seed=SEED)
+        report = check(table3, axiom, samples=40, seed=SEED)
         if report.refuted:
             _EMITTED.append((table3, report))
     assert len(_EMITTED) >= 6  # 4 from C5, 1 from C6, >= 1 just above

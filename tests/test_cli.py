@@ -522,10 +522,9 @@ class TestClassifyCommand:
         monkeypatch.setattr(
             verify, "product_for_table", lambda t: dataclasses.replace(real(t), kept=())
         )
-        (verdict,) = verify.classify_dimensions(1, samples=1)
-        assert (verdict.report.verdict, verdict.expected) == (
-            "holds-on-all-samples", "refuted"
-        )
+        (report,) = verify.classify_dimensions(1, samples=1)
+        assert (report.verdict, report.expected) == ("holds-on-all-samples", "refuted")
+        assert report.unexpected
         status, out = run(capsys, "classify", "--max-k", "1")
         assert status == 1
         assert out.startswith("k=1 n=3: pythagorean holds-on-all-samples\n")

@@ -36,10 +36,10 @@ from crossn.verify import (
     IDENTITY_AXIOMS,
     REFUTED,
     ProductUnderTest,
+    check,
     check_bilinear,
     check_case,
     check_identities,
-    check_identity,
     check_perpendicular,
     check_pythagorean,
     classify_dimensions,
@@ -190,7 +190,7 @@ class TestIdentities:
 
         p = cross3_product()
         v, u = Vector.unit(3, 1), Vector.unit(3, 2)
-        _, test = _AXIOMS["identity-1.3"]
+        _, _, test = _AXIOMS["identity-1.3"]
         # a test takes (u, v, w) with the roles used for 1.3 and returns
         # no witness when both sides agree
         assert test(p.evaluate, u, v) is None
@@ -209,10 +209,10 @@ class TestIdentities:
 
     def test_unknown_identity_rejected(self):
         with pytest.raises(ValueError):
-            check_identity(cross3_product(), "identity-9.9")
+            check(cross3_product(), "identity-9.9")
 
     def test_orthonormal_identities_use_distinct_basis_vectors(self):
-        report = check_identity(cross7_product(), "identity-1.5", samples=10)
+        report = check(cross7_product(), "identity-1.5", samples=10)
         assert report.verdict == HOLDS
         assert report.samples_run == 7 * 6 + 10
 
@@ -239,7 +239,7 @@ class TestIdentities:
                 return product.evaluate(u, v)
 
             counted = dataclasses.replace(product, evaluate=counting)
-            report = check_identity(counted, axiom, samples=1)
+            report = check(counted, axiom, samples=1)
             assert set(calls.values()) == {1}, axiom
             # identities 1.4 and 1.6 fail on the level-3 table
             if report.verdict == HOLDS:
@@ -314,17 +314,17 @@ class TestMemo:
 
 class TestClassifyDimensions:
     def test_pattern_up_to_level_three(self):
-        verdicts = classify_dimensions(3, samples=60)
-        assert [d.report.refuted for d in verdicts] == [False, False, True]
-        assert [d.report.dim for d in verdicts] == [3, 7, 15]
-        witness = verdicts[2].report.witness
+        reports = classify_dimensions(3, samples=60)
+        assert [r.refuted for r in reports] == [False, False, True]
+        assert [r.dim for r in reports] == [3, 7, 15]
+        witness = reports[2].witness
         assert witness is not None
         assert dot(witness.u, witness.u) == 2
 
     def test_witnesses_replay(self):
-        for d in classify_dimensions(3, samples=60):
-            if d.report.refuted:
-                assert replay(d.report, product_for_table(build_table(d.k)))
+        for k, report in enumerate(classify_dimensions(3, samples=60), start=1):
+            if report.refuted:
+                assert replay(report, product_for_table(build_table(k)))
 
     def test_determinism(self):
         a = classify_dimensions(3, samples=40, seed=5)
@@ -341,9 +341,9 @@ class TestClassifyDimensions:
                 classify_dimensions(bad)
 
     def test_single_level(self):
-        (verdict,) = classify_dimensions(1, samples=30)
-        assert verdict.k == 1 and verdict.report.dim == 3
-        assert not verdict.report.refuted
+        (report,) = classify_dimensions(1, samples=30)
+        assert report.dim == 3
+        assert not report.refuted
 
     def test_embedded_level2_inputs_keep_pythagorean_at_level3(self):
         # vectors supported on the first 7 coordinates behave identically
@@ -510,3 +510,64 @@ class TestExpectedVerdicts:
             "identity-1.5",
             "identity-1.6",
         )
+
+
+# == the one entry point =====================================================
+
+ALL_AXIOMS = ("perpendicular", "pythagorean", "bilinear", *IDENTITY_AXIOMS)
+# The axioms whose single case needs a third operand: the triple identities'
+# third vector, or bilinear's expected expansion.
+THIRD_OPERAND = ("bilinear", "identity-1.1", "identity-1.4", "identity-1.6")
+
+
+class TestCheck:
+    @pytest.mark.parametrize("axiom", ALL_AXIOMS)
+    def test_case_without_a_needed_third_operand_is_rejected(self, axiom):
+        p, e1, e2 = cross7_product(), Vector.unit(7, 1), Vector.unit(7, 2)
+        if axiom in THIRD_OPERAND:
+            with pytest.raises(ValueError) as info:
+                check_case(p, axiom, e1, e2)
+            assert str(info.value) == f"axiom {axiom!r} needs a third operand w"
+        else:
+            # cross7 keeps every axiom, so no pair case refutes it
+            assert check_case(p, axiom, e1, e2) is None
+
+    @pytest.mark.parametrize("name", ["identities", "identity-9.9", "all"])
+    def test_unknown_names_share_one_message(self, name):
+        p, e1 = cross7_product(), Vector.unit(7, 1)
+        with pytest.raises(ValueError) as by_check:
+            check(p, name)
+        with pytest.raises(ValueError) as by_case:
+            check_case(p, name, e1, e1, e1)
+        assert str(by_check.value) == str(by_case.value) == f"unknown axiom {name!r}"
+
+    @pytest.mark.parametrize(
+        "product", [cross7_product(), product_for_table(build_table(3))],
+        ids=["cross7", "table-k3"],
+    )
+    def test_group_checkers_are_calls_of_check(self, product):
+        # The benchmark wraps these four names; each must stay one call of
+        # check on the same samples and seed.
+        samples, seed = 4, 29
+        groups = {
+            "perpendicular": check_perpendicular,
+            "pythagorean": check_pythagorean,
+            "bilinear": check_bilinear,
+        }
+        for axiom, checker in groups.items():
+            assert checker(product, samples, seed) == check(product, axiom, samples, seed)
+        assert check_identities(product, samples, seed) == [
+            check(product, a, samples, seed) for a in IDENTITY_AXIOMS
+        ]
+
+    @pytest.mark.parametrize(
+        "product",
+        [cross3_product(), cross7_product(), product_for_table(build_table(3)), padded_product(4)],
+        ids=["cross3", "cross7", "table-k3", "padded-n4"],
+    )
+    def test_reports_carry_their_expected_verdict(self, product):
+        for axiom in ALL_AXIOMS:
+            report = check(product, axiom, samples=2)
+            assert report.expected == expected_verdict(product, axiom), axiom
+            assert not report.unexpected, axiom
+            assert "expected" not in report.to_json_dict()
