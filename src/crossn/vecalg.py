@@ -91,9 +91,10 @@ class Vector:
     coordinates from 1 (so ``unit(n, 1)`` is e1).
     """
 
-    # ``_ints`` is set by ``_cleared`` on first use; equality, hashing and
-    # repr ignore it.
-    __slots__ = ("coords", "mode", "_ints")
+    # Kept values, each set on first use and ignored by equality, hashing,
+    # repr and copies: ``_ints`` by ``_cleared`` (exact sums, scaling, dot,
+    # cross3, cross7), ``_terms`` by ``_terms`` (table_product).
+    __slots__ = ("coords", "mode", "_ints", "_terms")
 
     def __init__(self, values: Iterable, mode: str = EXACT):
         _check_mode(mode)
@@ -106,6 +107,11 @@ class Vector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
+
+    def __reduce__(self):
+        # A copy or unpickled vector re-runs the constructor's checks and
+        # starts without kept values.
+        return (Vector, (self.coords, self.mode))
 
     @classmethod
     def _of(cls, coords: tuple, mode: str) -> "Vector":
@@ -229,6 +235,22 @@ def _cleared(v: Vector) -> Tuple[Tuple[int, ...], int]:
     ints = tuple(c.numerator * (d // q) for c, q in zip(v.coords, dens)), d
     object.__setattr__(v, "_ints", ints)
     return ints
+
+
+def _terms(v: Vector) -> Tuple[Tuple[int, Scalar], ...]:
+    """The 1-based index and value of each nonzero coordinate of ``v``.
+
+    Zeros are found by truth value, so ``0.0`` and ``-0.0`` are skipped as
+    exact zeros are.  Computed once per vector and kept on it, as
+    ``_cleared`` keeps its integers.
+    """
+    try:
+        return v._terms
+    except AttributeError:
+        pass
+    terms = tuple((i, c) for i, c in enumerate(v.coords, start=1) if c)
+    object.__setattr__(v, "_terms", terms)
+    return terms
 
 
 def _exact_sum(op, u: Vector, v: Vector) -> Vector:
@@ -384,8 +406,9 @@ def table_product(table, u: Vector, v: Vector) -> Vector:
     ``table`` is any object exposing ``n`` and sign rows ``signs``, where
     ``signs[i][j]`` in {-1, 0, 1} is the sign of e_i x e_j = s e_(i ^ j) for
     1-indexed i and j.  Terms are added in i-then-j order.  The cost is one
-    pass over each operand, then one multiply and one add or subtract per
-    pair of nonzero coordinates whose cell is nonzero; the sign picks which.
+    multiply and one add or subtract per pair of nonzero coordinates whose
+    cell is nonzero, the sign picking which; each operand is scanned for its
+    nonzero coordinates only on its first use (``_terms``).
     """
     _check_pair(u, v, "table_product")
     if u.dim != table.n:
@@ -393,11 +416,9 @@ def table_product(table, u: Vector, v: Vector) -> Vector:
             f"table for dim {table.n} cannot multiply dim-{u.dim} vectors"
         )
     signs = table.signs
-    right = [(j, b) for j, b in enumerate(v.coords, start=1) if b]
+    right = _terms(v)
     acc = [zero_scalar(u.mode)] * table.n
-    for i, a in enumerate(u.coords, start=1):
-        if not a:
-            continue
+    for i, a in _terms(u):
         row = signs[i]
         for j, b in right:
             s = row[j]

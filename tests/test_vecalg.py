@@ -17,10 +17,17 @@ Core claims:
       equals the loop that multiplied by the sign: the same Fractions, and
       the same bits in double mode, infinities and NaNs included
     - a vector's cleared integers are kept on it and equal a fresh clearing
+    - table_product reads each operand's nonzero terms, kept on the vector
+      after its first use, and equals the multiplying loop on fresh, reused,
+      cleared, repeated and all-zero operands; kept values change no
+      equality, hash, repr or copy
+    - pickle, copy and deepcopy of a vector re-run the constructor's checks
 """
 
+import copy
 import math
 import operator
+import pickle
 import random
 import re
 import struct
@@ -36,6 +43,7 @@ from crossn.vecalg import (
     EXACT,
     Vector,
     _cleared,
+    _terms,
     cross3,
     cross7,
     det_product,
@@ -110,6 +118,24 @@ class TestVectorBasics:
         v = Vector.exact([1])
         with pytest.raises(AttributeError):
             v.coords = (Fraction(2),)
+
+    def test_pickle_and_copy_round_trip(self):
+        exact = Vector.exact(["1/2", 0, -3])
+        double = Vector.double([-0.0, 0.0, 2.5])
+        _cleared(exact)
+        for v in (exact, double):
+            _terms(v)
+            for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+                assert type(twin) is Vector and twin == v and repr(twin) == repr(v)
+                assert [repr(c) for c in twin.coords] == [repr(c) for c in v.coords]
+                # Kept values are not copied; the copy computes its own.
+                assert not hasattr(twin, "_ints") and not hasattr(twin, "_terms")
+
+    def test_copies_rerun_the_checks(self):
+        bad = Vector._of((0.5,), EXACT)  # made past the checks
+        for remake in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            with pytest.raises(ValueError, match="^cannot use 0.5 as an exact rational coordinate$"):
+                remake(bad)
 
 
 class TestParseFormat:
@@ -604,3 +630,37 @@ class TestIntegerKernels:
         assert out.mode == DOUBLE
         assert all(type(c) is float for c in out.coords)
         assert _bits(out.coords) == _bits(_ref_table_product(table, x, y, 0.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_table_product_on_kept_terms_matches_the_multiplying_loop(self, data):
+        table = _draw_table(data)
+        mode = data.draw(st.sampled_from((EXACT, DOUBLE)), label="mode")
+        x, y = _draw_pair(data, (table.n,), wide_rationals() if mode == EXACT else EDGE_FLOATS)
+        zero = Fraction(0) if mode == EXACT else 0.0
+        zeros = tuple(data.draw(st.lists(st.sampled_from((zero, -zero)),
+                                         min_size=table.n, max_size=table.n)))
+
+        def expected(a, b):
+            # repr tells Fraction from float and -0.0 from 0.0.
+            return [repr(c) for c in _ref_table_product(table, a, b, zero)]
+
+        def got(u, v):
+            return [repr(c) for c in table_product(table, u, v).coords]
+
+        u, v, z = Vector(x, mode), Vector(y, mode), Vector(zeros, mode)
+        assert got(u, v) == expected(x, y)  # fresh operands
+        assert _terms(u) is _terms(u)
+        assert got(u, v) == expected(x, y)  # both operands' terms kept
+        assert got(v, u) == expected(y, x)
+        assert got(u, u) == expected(x, x)  # u is v
+        assert got(u, z) == expected(x, zeros) and got(z, v) == expected(zeros, y)
+        if mode == EXACT:
+            s, t = Vector.exact(x), Vector.exact(y)
+            for fresh in (s, t):
+                _cleared(fresh)  # integers kept before any terms
+            assert got(s, t) == expected(x, y)
+        # The kept terms are invisible to equality, hashing and repr.
+        for kept, coords in ((u, x), (v, y), (z, zeros)):
+            twin = Vector(coords, mode)
+            assert kept == twin and hash(kept) == hash(twin) and repr(kept) == repr(twin)

@@ -18,10 +18,13 @@ Core claims:
     - the tables' sign rows certify perpendicular and identity 1.1, which
       the table products are expected to keep
     - reports serialize to the documented JSON shape
+    - a refuted report survives deepcopy and pickle, and the copy replays
 """
 
+import copy
 import dataclasses
 import json
+import pickle
 from array import array
 from fractions import Fraction
 
@@ -448,6 +451,15 @@ class TestReplay:
             ):
                 bad = dataclasses.replace(report, witness=tampered)
                 assert not replay(bad, product), (report.axiom, tampered)
+
+    def test_copies_of_a_refuted_report_replay(self):
+        p = product_for_table(build_table(3))
+        report = check_pythagorean(p, samples=5)
+        assert report.refuted
+        for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert twin == report and twin.witness.u is not report.witness.u
+            assert twin.to_json_dict() == report.to_json_dict()
+            assert replay(twin, p)
 
     def test_witness_equals_a_single_case(self):
         p = padded_product(4)
