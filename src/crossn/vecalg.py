@@ -33,7 +33,9 @@ MAX_DET_DIM = 12
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
-# Exact ``scaled``, ``+`` and ``-`` give every zero coordinate this one value.
+# Exact ``scaled``, ``+``, ``-`` and ``table_product`` give every zero
+# coordinate this one value, and ``zero_scalar`` returns it, so ``unit`` and
+# ``padded_cross`` pad with it too.
 _ZERO = Fraction(0)
 
 
@@ -75,7 +77,7 @@ def _coerce_double(value) -> float:
 
 
 def zero_scalar(mode: str) -> Scalar:
-    return Fraction(0) if mode == EXACT else 0.0
+    return _ZERO if mode == EXACT else 0.0
 
 
 def _check_mode(mode: str) -> None:
@@ -405,25 +407,45 @@ def table_product(table, u: Vector, v: Vector) -> Vector:
 
     ``table`` is any object exposing ``n`` and sign rows ``signs``, where
     ``signs[i][j]`` in {-1, 0, 1} is the sign of e_i x e_j = s e_(i ^ j) for
-    1-indexed i and j.  Terms are added in i-then-j order.  The cost is one
-    multiply and one add or subtract per pair of nonzero coordinates whose
-    cell is nonzero, the sign picking which; each operand is scanned for its
-    nonzero coordinates only on its first use (``_terms``).
+    1-indexed i and j.  Terms are added in i-then-j order, the cell's sign
+    picking add or subtract.  The cost is one multiply per pair of nonzero
+    coordinates whose cell is nonzero; an exact cell adds only from its
+    second term; double mode adds every term, to a 0.0 seed.  Each operand
+    is scanned for its nonzero coordinates only on its first use (``_terms``).
     """
     _check_pair(u, v, "table_product")
-    if u.dim != table.n:
-        raise ValueError(
-            f"table for dim {table.n} cannot multiply dim-{u.dim} vectors"
-        )
+    n = table.n
+    if u.dim != n:
+        raise ValueError(f"table for dim {n} cannot multiply dim-{u.dim} vectors")
     signs = table.signs
     right = _terms(v)
-    acc = [zero_scalar(u.mode)] * table.n
+    if u.mode == DOUBLE:
+        # Every term is added to a 0.0 seed, so a lone term that underflows
+        # to -0.0 still gives 0.0.
+        acc = [0.0] * n
+        for i, a in _terms(u):
+            row = signs[i]
+            for j, b in right:
+                s = row[j]
+                if s > 0:
+                    acc[(i ^ j) - 1] += a * b
+                elif s < 0:
+                    acc[(i ^ j) - 1] -= a * b
+        return Vector._of(tuple(acc), DOUBLE)
+    # Exact addition is associative, so a cell's first term is stored as it
+    # is; products of nonzero terms are never the shared zero.
+    acc = [_ZERO] * n
     for i, a in _terms(u):
         row = signs[i]
         for j, b in right:
             s = row[j]
-            if s > 0:
-                acc[(i ^ j) - 1] += a * b
-            elif s < 0:
-                acc[(i ^ j) - 1] -= a * b
-    return Vector._of(tuple(acc), u.mode)
+            if s:
+                k = (i ^ j) - 1
+                c = acc[k]
+                if c is _ZERO:
+                    acc[k] = a * b if s > 0 else -(a * b)
+                elif s > 0:
+                    acc[k] = c + a * b
+                else:
+                    acc[k] = c - a * b
+    return Vector._of(tuple(acc), EXACT)

@@ -42,6 +42,7 @@ from crossn.vecalg import (
     DOUBLE,
     EXACT,
     Vector,
+    _ZERO,
     _cleared,
     _terms,
     cross3,
@@ -52,6 +53,7 @@ from crossn.vecalg import (
     padded_cross,
     parse_vector,
     table_product,
+    zero_scalar,
 )
 
 
@@ -507,6 +509,14 @@ def _draw_table(data):
     return SimpleNamespace(n=n, signs=signs)
 
 
+def _draw_sparse(data, n):
+    coords = [Fraction(0)] * n
+    small = st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 2))).map(Fraction)
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True)):
+        coords[i] = data.draw(st.one_of(small, wide_rationals()))
+    return tuple(coords)
+
+
 class TestIntegerKernels:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -615,7 +625,14 @@ class TestIntegerKernels:
     @given(st.data())
     def test_exact_table_product_matches_the_multiplying_loop(self, data):
         table = _draw_table(data)
-        x, y = _draw_pair(data, (table.n,), wide_rationals())
+        if data.draw(st.booleans(), label="sparse"):
+            # A few nonzeros a side, as in the witness e3 + e10: many cells
+            # get one term, some a negative first term.  In a built table
+            # u x u cancels e_i x e_j against e_j x e_i in every cell.
+            x = _draw_sparse(data, table.n)
+            y = x if data.draw(st.booleans(), label="square") else _draw_sparse(data, table.n)
+        else:
+            x, y = _draw_pair(data, (table.n,), wide_rationals())
         out = table_product(table, Vector.exact(x), Vector.exact(y))
         assert out.mode == "exact"
         assert all(type(c) is Fraction for c in out.coords)
@@ -630,6 +647,26 @@ class TestIntegerKernels:
         assert out.mode == DOUBLE
         assert all(type(c) is float for c in out.coords)
         assert _bits(out.coords) == _bits(_ref_table_product(table, x, y, 0.0))
+
+    def test_double_cell_whose_only_term_underflows_is_positive_zero(self):
+        # 5e-324 * 0.5 rounds to a zero carrying the term's sign.  Added to
+        # the 0.0 seed, or subtracted from it, it leaves +0.0 in both sign
+        # branches: e1 x e2 = e3 and e2 x e1 = -e3.
+        table = build_table(1)
+        for u, v in (([5e-324, 0.0, 0.0], [0.0, -0.5, 0.0]),
+                     ([0.0, 5e-324, 0.0], [0.5, 0.0, 0.0])):
+            out = table_product(table, Vector.double(u), Vector.double(v))
+            assert _bits(out.coords) == _bits([0.0, 0.0, 0.0])
+
+    def test_exact_zeros_are_the_shared_zero(self):
+        assert zero_scalar(EXACT) is _ZERO
+        assert Vector.unit(4, 2).coords[0] is _ZERO
+        u, v = Vector.exact([1, 2, 3, 4, 5]), Vector.exact([0, 1, 0, 0, 7])
+        assert all(c is _ZERO for c in padded_cross(u, v).coords[3:])
+        # e1 x e2 = e3 at level 1; the cells that no term reaches stay shared.
+        out = table_product(build_table(1), Vector.unit(3, 1), Vector.unit(3, 2))
+        assert out.coords == (0, 0, 1)
+        assert out.coords[0] is _ZERO and out.coords[1] is _ZERO
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
