@@ -28,6 +28,8 @@ once per cell and reading the recursive sub-sign from the rows of the level
 below; ``SignedBasis`` cells exist only on demand (``entry``, ``cells``).
 The serialisers render rows from per-index texts: cell (i, j) picks the text
 of index i ^ j for its sign, along rows of texts permuted by ``_xor_rows``.
+``table_from_json`` checks row i as one packed integer of 16-bit fields, with
+|v| XOR column == i in every field.
 
 ``normalize_product_traced`` runs the same loop with a step recorder: each
 rule use becomes a step, the rule and the whole expression it rewrites to, so
@@ -43,11 +45,12 @@ against an independent Cayley-Dickson sign function.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
-from operator import eq, getitem
+from operator import getitem
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .vecalg import Vector
@@ -58,8 +61,8 @@ MAX_LEVEL = 10
 # Negates the bytes of a sign row: 1 and -1 (0xff) swap, 0 stays.
 _NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")
 
-# Turns the bytes of a "cell is positive" row into signs: 0 -> -1 (0xff).
-_SIGN = bytes.maketrans(b"\x00", b"\xff")
+# Turns the high bytes of int16 cells into signs: 0x80 and above -> -1 (0xff).
+_HIGH_SIGN = bytes([1] * 128 + [0xFF] * 128)
 
 # Rewrite rule names, as cited by trace steps.
 RULE_ANTISYMMETRY = "antisymmetry"
@@ -188,10 +191,8 @@ def _check_level_and_indices(i: int, j: int, k: int) -> None:
     _check_level(k, 0)
     bound = _index_bound(k)
     for name, idx in (("i", i), ("j", j)):
-        if not 1 <= idx <= bound:
-            raise ValueError(
-                f"index {name}={idx} out of range 1..{bound} for level {k}"
-            )
+        if type(idx) is not int or not 1 <= idx <= bound:
+            raise ValueError(f"index {name}={idx} out of range 1..{bound} for level {k}")
 
 
 def _norm_indices(i: int, j: int, emit=None) -> Tuple[int, int]:
@@ -427,7 +428,7 @@ class MulTable(NamedTuple):
     def entry(self, i: int, j: int) -> SignedBasis:
         """Cell for e_i x e_j (1-indexed)."""
         n = self.n
-        if not (1 <= i <= n and 1 <= j <= n):
+        if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"cell ({i},{j}) out of range 1..{n}")
         s = self.signs[i][j]
         return SignedBasis(s, i ^ j) if s else SignedBasis.zero()
@@ -572,7 +573,8 @@ def table_from_json(text: str) -> MulTable:
 
     The level must be in 1..MAX_LEVEL with n = 2**(k+1) - 1, every cell an
     integer (not a bool), cell (i, j) must be 0 on the diagonal and +-(i ^ j)
-    off it, and the result must pass ``validate``.
+    off it, and the result must pass ``validate``.  Row i is checked as one
+    packed integer of n 16-bit fields, with |v| XOR column == i in every field.
     """
     import json  # only here, so that a cold `table` command does not load it
 
@@ -595,18 +597,30 @@ def table_from_json(text: str) -> MulTable:
         not isinstance(row, list) or len(row) != n for row in raw
     ):
         raise ValueError(f"cells must form an {n} x {n} grid")
+    ones = int.from_bytes(b"\x01\x00" * n, "little")  # 1 in each field
+    columns = int.from_bytes(b"".join(j.to_bytes(2, "little") for j in range(1, n + 1)), "little")
     rows = [array("b", bytes(n + 1))]
-    for i, (row, index) in enumerate(zip(raw, _xor_rows(range(n + 1))), start=1):
-        del index[0]  # the document has no column 0
-        # Type first: json reads true as a bool, which compares equal to 1.
-        if set(map(type, row)) != {int} or list(map(abs, row)) != index:
+    for i, row in enumerate(raw, start=1):
+        try:
+            cells = array("h", row)
+        except (TypeError, OverflowError):  # a float, str, None, list or dict; an int past int16
+            ok = False
+        else:
+            if sys.byteorder == "big":
+                cells.byteswap()
+            x = int.from_bytes(cells, "little")
+            neg = (x & ones << 15) >> 15  # 1 in each negative field
+            ok = ((x ^ neg * 0xFFFF) + neg) ^ columns == i * ones  # |v| < 2**16: no carry
+        # array("h") takes json's true and false as 1 and 0; a bool passes the
+        # field test only at (i, i) and (i, i ^ 1), so those two are type-checked.
+        if not ok or type(row[i - 1]) is not int or i > 1 and type(row[(i ^ 1) - 1]) is not int:
             j, value = next(
                 (j, v) for j, v in enumerate(row, start=1) if type(v) is not int or abs(v) != i ^ j
             )
             expected = "0" if i == j else f"±{i ^ j}"
             raise ValueError(f"cell ({i},{j}) holds {value!r}, expected {expected}")
-        rows.append(array("b", b"\x00" + bytes(map(eq, row, index)).translate(_SIGN)))
-        rows[i][i] = 0  # the diagonal cell 0 equals its index 0
+        rows.append(array("b", b"\x00" + cells.tobytes()[1::2].translate(_HIGH_SIGN)))
+        rows[i][i] = 0  # the diagonal cell 0 reads as positive
     table = MulTable(k, tuple(rows))
     table.validate()
     return table

@@ -318,6 +318,15 @@ class TestNormalizeProduct:
         with pytest.raises(ValueError):
             normalize_product(1, 1, MAX_LEVEL + 1)
 
+    @pytest.mark.parametrize("normalize", [normalize_product, normalize_product_traced])
+    @pytest.mark.parametrize("index", [1.0, "1", True, None])
+    def test_index_must_be_an_int(self, normalize, index):
+        # A bool is not an index, though True would pass for 1.
+        for name, args in (("i", (index, 2, 1)), ("j", (2, index, 1))):
+            message = f"index {name}={index} out of range 1..3 for level 1"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                normalize(*args)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 127), st.integers(1, 127))
     def test_xor_law_and_antisymmetry(self, i, j):
@@ -954,6 +963,11 @@ class TestBuildTable:
             table.entry(0, 1)
         with pytest.raises(ValueError):
             table.entry(1, 4)
+        # An index must be an int; a bool is not one, though True would pass for 1.
+        for i, j in ((True, 2), (2, True), (1.0, 2), (2, "1")):
+            message = f"cell ({i},{j}) out of range 1..3"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                table.entry(i, j)
 
     def test_r3_cells(self):
         t = build_table(1)
@@ -983,6 +997,22 @@ class TestBuildTable:
 @lru_cache(maxsize=None)
 def cached_table(k):
     return build_table(k)
+
+
+def per_cell_from_json(text):
+    """The cell rows of ``table_from_json`` checked one cell at a time: each
+    an int, not a bool, of absolute value i ^ j, whose sign is the cell's."""
+    doc = json.loads(text)
+    rows = [array("b", bytes(doc["n"] + 1))]
+    for i, row in enumerate(doc["cells"], start=1):
+        for j, v in enumerate(row, start=1):
+            if type(v) is not int or abs(v) != i ^ j:
+                expected = "0" if i == j else f"±{i ^ j}"
+                raise ValueError(f"cell ({i},{j}) holds {v!r}, expected {expected}")
+        rows.append(array("b", [0] + [(v > 0) - (v < 0) for v in row]))
+    table = MulTable(doc["k"], tuple(rows))
+    table.validate()
+    return table
 
 
 def reference_validate(table):
@@ -1265,6 +1295,15 @@ class TestSerialization:
             (1, 2, 2, False, "cell (2,2) holds False, expected 0"),
             # Row 13 of level 3 is chained from blocks swapped by its high bits.
             (3, 13, 6, -22, "cell (13,6) holds -22, expected ±11"),
+            # The packed row test reads a bool as 1 or 0: true passes it at
+            # (i, i ^ 1) and false on the diagonal, so both are type-checked.
+            (3, 13, 12, True, "cell (13,12) holds True, expected ±1"),
+            (2, 5, 5, False, "cell (5,5) holds False, expected 0"),
+            # Row 1 has no column i ^ 1 = 0.
+            (1, 1, 3, True, "cell (1,3) holds True, expected ±2"),
+            # Outside int16, a value must not alias mod 2**16.
+            (4, 20, 7, 19 + 65536, "cell (20,7) holds 65555, expected ±19"),
+            (1, 1, 2, -32769, "cell (1,2) holds -32769, expected ±3"),
         ],
     )
     def test_from_json_names_the_bad_cell(self, k, i, j, value, message):
@@ -1272,6 +1311,39 @@ class TestSerialization:
         doc["cells"][i - 1][j - 1] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             table_from_json(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_from_json_agrees_with_the_per_cell_rule(self, data):
+        # One to three cells of a level 1-5 document are mutated; the packed
+        # row test and the per-cell rule must give the same table or message.
+        k = data.draw(st.integers(1, 5), label="k")
+        n = (1 << (k + 1)) - 1
+        doc = json.loads(table_to_json(cached_table(k)))
+        for _ in range(data.draw(st.integers(1, 3), label="cells")):
+            i = data.draw(st.integers(1, n), label="i")
+            place = data.draw(st.sampled_from(["diagonal", "pair", "any"]), label="place")
+            # Row 1 has no column i ^ 1 = 0; its "pair" is column n.
+            j = {"diagonal": i, "pair": i ^ 1 or n}.get(place) or data.draw(st.integers(1, n), label="j")
+            flipped = -cached_table(k).signs[i][j] * (i ^ j)
+            value = data.draw(
+                st.sampled_from(
+                    [flipped, 0, True, False, 1.0, float(i ^ j), "3", None, [], {},
+                     32767, -32767, 32768, -32768, -32769,
+                     (i ^ j) + 65536, (i ^ j) - 65536, 2**63, 10**100]
+                )
+                | st.integers(-2 * n, 2 * n),
+                label="value",
+            )
+            doc["cells"][i - 1][j - 1] = value
+        text = json.dumps(doc)
+        try:
+            want = per_cell_from_json(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                table_from_json(text)
+        else:
+            assert table_from_json(text) == want
 
     def test_json_document_shape(self):
         doc = json.loads(table_to_json(build_table(1)))
