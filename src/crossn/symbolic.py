@@ -40,20 +40,18 @@ the reduction chain, e.g.
 can be replayed as a derivation.  Replay evaluates no product and runs no
 normalizer: each step must rewrite one subterm of the expression before it by
 an instance of the rule it cites.  The tests check the rules themselves
-against an independent Cayley-Dickson sign function.
+against an independent Cayley-Dickson sign function.  The module imports no
+other ``crossn`` module.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
 from operator import getitem
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
-
-from .vecalg import Vector
 
 # Tables are O(n^2) cells with n = 2**(k+1) - 1; level 10 means n = 2047.
 MAX_LEVEL = 10
@@ -168,10 +166,6 @@ class SignedBasis(NamedTuple("SignedBasis", [("sign", int), ("index", int)])):
         if index < 0:
             raise ValueError(f"index must be >= 0, got {index}")
         return tuple.__new__(cls, (sign, index))
-
-    @classmethod
-    def zero(cls) -> "SignedBasis":
-        return cls(0, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -431,7 +425,7 @@ class MulTable(NamedTuple):
         if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"cell ({i},{j}) out of range 1..{n}")
         s = self.signs[i][j]
-        return SignedBasis(s, i ^ j) if s else SignedBasis.zero()
+        return SignedBasis(s, i ^ j) if s else SignedBasis(0, 0)
 
     @property
     def cells(self) -> Iterator[Tuple[SignedBasis, ...]]:
@@ -624,23 +618,3 @@ def table_from_json(text: str) -> MulTable:
     table = MulTable(k, tuple(rows))
     table.validate()
     return table
-
-
-# --- the dimension >= 15 counterexample ------------------------------------
-
-
-def counterexample_vectors(k: int) -> Tuple[Vector, Vector]:
-    """The witness pair that breaks the Pythagorean identity for k >= 3.
-
-    u is the sum of the basis words {u0 x u1, u1 x u3} and v the difference
-    of {u1 x u2, ((u0 x u1) x u2) x u3}; with the index encoding that is
-    u = e3 + e10 and v = e6 - e15, zero-padded into dimension 2**(k+1) - 1.
-    Their table product vanishes while u and v are orthogonal with squared
-    norm 2, so the identity reads 0 + 0 on one side and 4 on the other.
-    """
-    _check_level(k, 3)
-    u = [Fraction(0)] * _index_bound(k)
-    v = [Fraction(0)] * _index_bound(k)
-    u[3 - 1] = u[10 - 1] = Fraction(1)
-    v[6 - 1], v[15 - 1] = Fraction(1), Fraction(-1)
-    return Vector(u), Vector(v)

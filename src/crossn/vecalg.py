@@ -139,8 +139,8 @@ class Vector:
     def unit(cls, dim: int, i: int, mode: str = EXACT) -> "Vector":
         """The standard basis vector e_i of R^dim (i is 1-indexed)."""
         _check_mode(mode)
-        if not 1 <= i <= dim:
-            raise ValueError(f"unit index {i} out of range 1..{dim}")
+        if type(dim) is not int or type(i) is not int or not 1 <= i <= dim:
+            raise ValueError(f"unit index {i!r} out of range 1..{dim!r}")
         one = Fraction(1) if mode == EXACT else 1.0
         zero = zero_scalar(mode)
         return cls._of(tuple(one if j == i else zero for j in range(1, dim + 1)), mode)

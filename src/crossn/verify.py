@@ -86,8 +86,8 @@ def cross7_product() -> ProductUnderTest:
 
 
 def padded_product(n: int) -> ProductUnderTest:
-    if n < 3:
-        raise ValueError(f"padded product needs dim >= 3, got {n}")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"padded product needs dim >= 3, got {n!r}")
     known = (Vector.unit(n, 4), Vector.unit(n, 1)) if n >= 4 else None
     # The R^3 triple product gives perpendicular, 1.1 and 1.2.
     kept = (AXIOM_PERPENDICULAR, "identity-1.1", "identity-1.2")
@@ -95,16 +95,20 @@ def padded_product(n: int) -> ProductUnderTest:
 
 
 def product_for_table(table: symbolic.MulTable) -> ProductUnderTest:
-    known = symbolic.counterexample_vectors(table.k) if table.k >= 3 else None
+    known = None
+    if table.k >= 3:
+        # u = e3 + e10 = u0 x u1 + u1 x u3 and v = e6 - e15 = u1 x u2 - ((u0 x u1) x u2) x u3,
+        # zero-padded: their product vanishes while u and v are orthogonal with
+        # squared norm 2, so the identity reads 0 + 0 on one side and 4 on the other.
+        u, v = [Fraction(0)] * table.n, [Fraction(0)] * table.n
+        u[3 - 1] = u[10 - 1] = Fraction(1)
+        v[6 - 1], v[15 - 1] = Fraction(1), Fraction(-1)
+        known = (Vector(u), Vector(v))
     # Cayley–Dickson adjointness ⟨xy, z⟩ = ⟨y, x̄z⟩ gives perpendicular and
     # 1.1, and antisymmetry gives 1.2 (Schafer 1966, ch. III).
     kept = (AXIOM_PERPENDICULAR, "identity-1.1", "identity-1.2")
     return _family(
-        f"table-k{table.k}",
-        table.n,
-        lambda u, v: table_product(table, u, v),
-        known,
-        kept,
+        f"table-k{table.k}", table.n, lambda u, v: table_product(table, u, v), known, kept
     )
 
 
@@ -363,6 +367,8 @@ def check(
     The report carries the verdict ``expected_verdict`` predicts.
     """
     arity, cases, test = _axiom(axiom)
+    if type(samples) is not int or type(seed) is not int:
+        raise ValueError(f"samples and seed must be ints, got {samples!r} and {seed!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = product.dim

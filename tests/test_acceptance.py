@@ -21,12 +21,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from crossn.symbolic import (
-    build_basis,
-    build_table,
-    counterexample_vectors,
-    table_to_markdown,
-)
+from crossn.symbolic import build_basis, build_table, table_to_markdown
 from crossn.vecalg import Vector, cross3, cross7, det_product, dot, table_product
 from crossn.verify import (
     HOLDS,
@@ -97,7 +92,7 @@ def test_c03_formula_table_agreement():
 def test_c04_level3_witness_quantities():
     done = _timed(1.0)
     table = build_table(3)
-    u, v = counterexample_vectors(3)
+    u, v = product_for_table(table).known
     assert dot(u, u) == 2
     assert dot(v, v) == 2
     assert dot(u, v) == 0

@@ -7,6 +7,8 @@ Core claims:
       and ``verify`` loads when it is imported
     - a cold ``table`` command, run without site-packages, loads neither
       ``dataclasses`` nor ``json``
+    - ``symbolic`` imports no other ``crossn`` module: building a table and
+      reading it back from JSON loads neither ``fractions`` nor ``decimal``
 """
 
 import json
@@ -51,6 +53,13 @@ COLD_TABLE = textwrap.dedent("""
     print(sorted(m for m in ("dataclasses", "json") if m in sys.modules))
 """)
 
+SYMBOLIC_ALONE = textwrap.dedent("""
+    import sys
+    import crossn.symbolic as s
+    assert s.table_from_json(s.table_to_json(s.build_table(3))) == s.build_table(3)
+    print(sorted(m for m in sys.modules if m.startswith("crossn.") or m in ("fractions", "decimal")))
+""")
+
 
 def _run(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -74,3 +83,7 @@ def test_a_command_loads_only_the_modules_it_runs():
 def test_a_cold_table_command_loads_neither_dataclasses_nor_json():
     # -S: no .pth file in site-packages can load either module first.
     assert _run("-S", "-W", "error", "-c", COLD_TABLE) == "[]\n"
+
+
+def test_symbolic_loads_no_other_crossn_module():
+    assert _run("-S", "-W", "error", "-c", SYMBOLIC_ALONE) == "['crossn.symbolic']\n"

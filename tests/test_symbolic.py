@@ -52,8 +52,10 @@ Core claims:
       (bools included) with the same message
     - _word_index equals the nested recursions it replaced on drawn trees and
       on the final expression of every trace at levels 0..4
-    - the level >= 3 witness pair is e3 + e10 and e6 - e15, zero-padded, and
-      equals the pair built from its basis words at every level 3..10
+    - the level >= 3 witness pair, ``product_for_table(table).known``, is
+      e3 + e10 and e6 - e15, zero-padded; it equals the pair built from its
+      basis words at every level 3..10, its product vanishes there, and
+      levels 1 and 2 have none
 """
 
 import copy
@@ -86,7 +88,6 @@ from crossn.symbolic import (
     SignedBasis,
     build_basis,
     build_table,
-    counterexample_vectors,
     expr_str,
     normalize_product,
     normalize_product_traced,
@@ -102,6 +103,7 @@ from crossn.symbolic import (
     _word_tree,
 )
 from crossn.vecalg import DOUBLE, EXACT, Vector, dot, table_product
+from crossn.verify import product_for_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -190,7 +192,7 @@ class TestBuildBasis:
 
 class TestSignedBasis:
     def test_zero_has_no_index(self):
-        z = SignedBasis.zero()
+        z = SignedBasis(0, 0)
         assert z.is_zero and z.value == 0
         with pytest.raises(ValueError):
             SignedBasis(0, 3)
@@ -205,7 +207,7 @@ class TestSignedBasis:
     def test_str(self):
         assert str(SignedBasis(1, 3)) == "e3"
         assert str(SignedBasis(-1, 4)) == "−e4"
-        assert str(SignedBasis.zero()) == "0"
+        assert str(SignedBasis(0, 0)) == "0"
 
 
 # == value types =============================================================
@@ -791,7 +793,7 @@ class TestRewriteRules:
     def test_sign_function_reproduces_the_level_four_table(self):
         for i in range(1, 32):
             for j in range(1, 32):
-                want = SignedBasis(cd_sign(i, j), i ^ j) if i != j else SignedBasis.zero()
+                want = SignedBasis(cd_sign(i, j), i ^ j) if i != j else SignedBasis(0, 0)
                 assert normalize_product(i, j, 4) == want
 
     def test_accepted_instances_are_sound(self):
@@ -1396,9 +1398,16 @@ class TestSerialization:
 # == the dimension >= 15 witness pair ========================================
 
 
+def known_pair(k):
+    """The witness pair of the level-k table product, as ``verify`` builds it."""
+    return product_for_table(cached_table(k)).known
+
+
 class TestCounterexampleVectors:
+    """``product_for_table(table).known``: e3 + e10 and e6 - e15, zero-padded."""
+
     def test_support_at_level_three(self):
-        u, v = counterexample_vectors(3)
+        u, v = known_pair(3)
         assert u.dim == v.dim == 15
         assert [c for c in u.coords if c] == [1, 1]
         assert u.coords[3 - 1] == 1 and u.coords[10 - 1] == 1
@@ -1415,8 +1424,8 @@ class TestCounterexampleVectors:
         assert {3, 10, 6, 15} <= level3
 
     def test_embedding_at_higher_level(self):
-        u3, v3 = counterexample_vectors(3)
-        u4, v4 = counterexample_vectors(4)
+        u3, v3 = known_pair(3)
+        u4, v4 = known_pair(4)
         assert u4.dim == v4.dim == 31
         assert u4.coords[:15] == u3.coords
         assert v4.coords[:15] == v3.coords
@@ -1424,24 +1433,23 @@ class TestCounterexampleVectors:
         assert all(c == 0 for c in v4.coords[15:])
 
     def test_product_vanishes_and_norms(self):
-        for k in (3, 4):
-            table = build_table(k)
-            u, v = counterexample_vectors(k)
-            assert table_product(table, u, v).is_zero()
+        for k in range(3, MAX_LEVEL + 1):
+            u, v = known_pair(k)
+            assert table_product(cached_table(k), u, v).is_zero()
             assert dot(u, u) == 2 and dot(v, v) == 2 and dot(u, v) == 0
 
     def test_level_too_small(self):
-        with pytest.raises(ValueError, match=f"^{re.escape('level must be in 3..10, got 2')}$"):
-            counterexample_vectors(2)
+        # levels 1 and 2 carry genuine cross products: no pair is known
+        assert known_pair(1) is None and known_pair(2) is None
 
     @pytest.mark.parametrize("k", range(3, MAX_LEVEL + 1))
     def test_equals_the_word_construction(self, k):
-        assert counterexample_vectors(k) == word_counterexample(k)
+        assert known_pair(k) == word_counterexample(k)
 
 
 def word_counterexample(k):
     """The witness pair built from its basis words, the reference for
-    ``counterexample_vectors``: u = u0 x u1 + u1 x u3 and
+    ``product_for_table(table).known``: u = u0 x u1 + u1 x u3 and
     v = u1 x u2 - ((u0 x u1) x u2) x u3."""
     n = 2 ** (k + 1) - 1
     u_coords = [Fraction(0)] * n
@@ -1464,11 +1472,10 @@ def word_counterexample(k):
         (build_table, 1),
         (lambda k: normalize_product(1, 2, k), 0),
         (lambda k: normalize_product_traced(1, 2, k), 0),
-        (counterexample_vectors, 3),
         (lambda k: MulTable(k, build_table(1).signs).validate(), 1),
     ],
     ids=["build_basis", "build_table", "normalize_product", "normalize_product_traced",
-         "counterexample_vectors", "validate"],
+         "validate"],
 )
 def test_non_int_levels_are_rejected(call, low, k):
     message = f"level must be in {low}..{MAX_LEVEL}, got {k!r}"

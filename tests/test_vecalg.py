@@ -2,6 +2,7 @@
 
 Core claims:
     - exact coordinates are Fractions in lowest terms; modes never mix
+    - Vector.unit refuses a dimension or an index that is not an int
     - dot is the plain coordinate sum, symmetric and bilinear
     - cross3 is the right-hand-rule product (e1 x e2 = e3, e3 x e2 = -e1)
     - cross7 matches the published basis products and is antisymmetric
@@ -115,6 +116,14 @@ class TestVectorBasics:
         assert Vector([0] * 3).is_zero()
         with pytest.raises(ValueError):
             Vector.unit(3, 4)
+
+    @pytest.mark.parametrize(
+        "dim, i", [(3, True), (True, 1), (3, 1.0), (3.0, 1), ("3", 1), (3, None), (None, 1)]
+    )
+    def test_unit_needs_an_int_dim_and_index(self, dim, i):
+        message = f"unit index {i!r} out of range 1..{dim!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Vector.unit(dim, i)
 
     def test_immutable(self):
         v = Vector.exact([1])

@@ -6,7 +6,10 @@ Core claims:
     - the padded product in R^4 loses the Pythagorean identity with the
       canonical witness pair, injected ahead of any sampling
     - level >= 3 table products lose the Pythagorean identity with the
-      e3+e10 / e6-e15 witness
+      e3+e10 / e6-e15 witness (its properties are tested in test_symbolic,
+      beside the basis words it is built from)
+    - check refuses samples and seeds that are not ints (bools included)
+      before any case runs, and padded_product a dimension that is not one
     - refuted reports carry witnesses that replay exactly, and a tampered
       witness does not; verdicts are deterministic functions of
       (product, samples, seed)
@@ -25,6 +28,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import re
 from array import array
 from fractions import Fraction
 
@@ -32,7 +36,7 @@ import pytest
 
 from crossn import verify
 from crossn.symbolic import MulTable, build_table
-from crossn.vecalg import Vector, cross7, dot
+from crossn.vecalg import Vector, cross3, cross7, dot
 from crossn.verify import (
     DEFAULT_SEED,
     HOLDS,
@@ -100,7 +104,7 @@ class TestPerpendicular:
         assert replay(report, p)
 
     def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
             check_perpendicular(cross3_product(), samples=0)
 
 
@@ -129,6 +133,12 @@ class TestPythagorean:
     def test_padded_needs_dim_3(self):
         with pytest.raises(ValueError, match=r"^padded product needs dim >= 3, got 2$"):
             padded_product(2)
+
+    @pytest.mark.parametrize("n", [3.0, 4.0, True, "4", None])
+    def test_padded_dim_must_be_an_int(self, n):
+        message = f"padded product needs dim >= 3, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            padded_product(n)
 
     def test_table_level_3_refuted_with_injected_pair(self):
         p = product_for_table(build_table(3))
@@ -552,6 +562,21 @@ class TestCheck:
         with pytest.raises(ValueError) as by_case:
             check_case(p, name, e1, e1, e1)
         assert str(by_check.value) == str(by_case.value) == f"unknown axiom {name!r}"
+
+    @pytest.mark.parametrize(
+        "samples, seed",
+        [(True, 1), (2.5, 1), ("3", 1), (None, 1), (3, True), (3, 1.5), (3, "7"), (3, None)],
+    )
+    def test_samples_and_seed_must_be_ints(self, samples, seed):
+        calls = []
+        product = ProductUnderTest("counted", 3, lambda u, v: calls.append(1) or cross3(u, v))
+        message = f"samples and seed must be ints, got {samples!r} and {seed!r}"
+        for axiom in ALL_AXIOMS:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(product, axiom, samples, seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_dimensions(1, samples, seed)
+        assert calls == []  # refused before any case ran
 
     @pytest.mark.parametrize(
         "product", [cross7_product(), product_for_table(build_table(3))],
