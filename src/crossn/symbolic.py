@@ -68,8 +68,6 @@ RULE_CANCELLATION = "cancellation"
 RULE_SHIFT = "shift"
 RULE_PAIR_COLLAPSE = "pair-collapse"
 
-RULES = (RULE_ANTISYMMETRY, RULE_CANCELLATION, RULE_SHIFT, RULE_PAIR_COLLAPSE)
-
 # A product tree over generators: either a generator number or a pair of
 # subtrees.  Canonical basis words are the left-nested trees whose right
 # child is always the largest generator.
@@ -151,9 +149,8 @@ class SignedBasis(NamedTuple("SignedBasis", [("sign", int), ("index", int)])):
     """Either zero or a signed basis element: sign * e_index.
 
     The zero cell is encoded as sign == 0, index == 0 (it carries no basis
-    information).  ``value`` is the lossless integer form sign * index.  As a
-    named tuple it also equals the plain tuple of its fields:
-    ``SignedBasis(1, 3) == (1, 3)``.
+    information).  As a named tuple it also equals the plain tuple of its
+    fields: ``SignedBasis(1, 3) == (1, 3)``.
     """
 
     __slots__ = ()
@@ -170,10 +167,6 @@ class SignedBasis(NamedTuple("SignedBasis", [("sign", int), ("index", int)])):
     @property
     def is_zero(self) -> bool:
         return self.sign == 0
-
-    @property
-    def value(self) -> int:
-        return self.sign * self.index
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -591,8 +584,10 @@ def table_from_json(text: str) -> MulTable:
         not isinstance(row, list) or len(row) != n for row in raw
     ):
         raise ValueError(f"cells must form an {n} x {n} grid")
-    ones = int.from_bytes(b"\x01\x00" * n, "little")  # 1 in each field
-    columns = int.from_bytes(b"".join(j.to_bytes(2, "little") for j in range(1, n + 1)), "little")
+    # Each row, the ones and the columns are packed in the machine's byte order.
+    ones = int.from_bytes(array("h", [1]) * n, sys.byteorder)  # 1 in each field
+    columns = int.from_bytes(array("h", range(1, n + 1)), sys.byteorder)
+    high = int(sys.byteorder == "little")  # the offset of each cell's high byte
     rows = [array("b", bytes(n + 1))]
     for i, row in enumerate(raw, start=1):
         try:
@@ -600,9 +595,7 @@ def table_from_json(text: str) -> MulTable:
         except (TypeError, OverflowError):  # a float, str, None, list or dict; an int past int16
             ok = False
         else:
-            if sys.byteorder == "big":
-                cells.byteswap()
-            x = int.from_bytes(cells, "little")
+            x = int.from_bytes(cells, sys.byteorder)
             neg = (x & ones << 15) >> 15  # 1 in each negative field
             ok = ((x ^ neg * 0xFFFF) + neg) ^ columns == i * ones  # |v| < 2**16: no carry
         # array("h") takes json's true and false as 1 and 0; a bool passes the
@@ -613,7 +606,7 @@ def table_from_json(text: str) -> MulTable:
             )
             expected = "0" if i == j else f"±{i ^ j}"
             raise ValueError(f"cell ({i},{j}) holds {value!r}, expected {expected}")
-        rows.append(array("b", b"\x00" + cells.tobytes()[1::2].translate(_HIGH_SIGN)))
+        rows.append(array("b", b"\x00" + cells.tobytes()[high::2].translate(_HIGH_SIGN)))
         rows[i][i] = 0  # the diagonal cell 0 reads as positive
     table = MulTable(k, tuple(rows))
     table.validate()

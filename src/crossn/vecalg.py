@@ -42,7 +42,7 @@ _ZERO = Fraction(0)
 def _coerce_exact(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         token = value.strip()
@@ -57,7 +57,7 @@ def _coerce_exact(value) -> Fraction:
 def _coerce_double(value) -> float:
     if isinstance(value, float):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         token = value.strip()
@@ -188,7 +188,7 @@ class Vector:
             )
         if isinstance(c, Fraction):
             raise ValueError("cannot scale a double vector by a Fraction")
-        c = float(c)
+        c = _coerce_double(c)
         return Vector._of(tuple(c * a for a in self.coords), self.mode)
 
     def is_zero(self) -> bool:
@@ -398,7 +398,8 @@ def det_product(rows: Sequence[Vector]) -> Vector:
     for m in range(n):
         cols = all_cols[:m] + all_cols[m + 1 :]
         value = minor_det(0, cols)
-        out.append(value if m % 2 == 0 else -value)
+        # Subtracting from zero, not negating, keeps a double 0.0 minor +0.0.
+        out.append(value if m % 2 == 0 else zero_scalar(mode) - value)
     return Vector(out, mode)
 
 

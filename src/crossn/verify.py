@@ -20,13 +20,12 @@ from the recorded seed.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from . import symbolic
 from .vecalg import Scalar, Vector, dot, cross3, cross7, padded_cross, table_product
@@ -112,8 +111,7 @@ def product_for_table(table: symbolic.MulTable) -> ProductUnderTest:
     )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Concrete inputs on which an axiom fails, plus the violating values."""
 
     u: Vector
@@ -123,8 +121,7 @@ class Witness:
     rhs: Optional[Side] = None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     product: str
     dim: int
     axiom: str
@@ -208,7 +205,7 @@ def _memoised(product: ProductUnderTest) -> ProductUnderTest:
                 memo[key] = out
         return out
 
-    return dataclasses.replace(product, evaluate=cached)
+    return replace(product, evaluate=cached)
 
 
 # --- case stages: each yields the argument tuples of one axiom's test ------
@@ -273,8 +270,7 @@ def _bilinear_cases(product, units, samples, rng, arity):
 
 
 # --- tests: test(p, u, v, w) returns a Witness, or None if the case holds --
-# ``w`` is the third vector of the triple identities and the expansion for
-# bilinear; the other tests ignore it.
+# ``w`` is as ``check_case`` takes it.
 
 
 def _perpendicular(p, u, v, w=None):
@@ -426,11 +422,7 @@ def check_pythagorean(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> AxiomReport:
-    """(u x v).(u x v) + (u.v)^2 == (u.u)(v.v).
-
-    The product's known falsifying pair is tried first, so refutations
-    carry the canonical witness instead of a sampler artifact.
-    """
+    """(u x v).(u x v) + (u.v)^2 == (u.u)(v.v)."""
     return check(product, AXIOM_PYTHAGOREAN, samples, seed)
 
 
@@ -441,11 +433,9 @@ def check_bilinear(
 ) -> AxiomReport:
     """Four-term expansion (a u + b u2) x (c v + d v2) == sum of products.
 
-    The deterministic stage runs basis pairs as (u, v) with shifted basis
-    vectors as (u2, v2) and fixed scalars; random stages draw all four
-    vectors and all four scalars.  A refutation stores the already-combined
-    operands as the witness pair, so replaying means evaluating the product
-    on them and comparing with the recorded expansion value.
+    A refutation stores the already-combined operands as the witness pair,
+    so replaying means evaluating the product on them and comparing with
+    the recorded expansion value.
     """
     return check(product, AXIOM_BILINEAR, samples, seed)
 
@@ -473,7 +463,7 @@ def classify_dimensions(
     """
     symbolic._check_level(max_k, 1)
     return [
-        check_pythagorean(product_for_table(symbolic.build_table(k)), samples, seed)
+        check(product_for_table(symbolic.build_table(k)), AXIOM_PYTHAGOREAN, samples, seed)
         for k in range(1, max_k + 1)
     ]
 

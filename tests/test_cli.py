@@ -2,10 +2,12 @@
 
 Core claims:
     - table rendering matches the golden markdown/CSV/JSON formats
-    - cross evaluates every product family, in exact and float mode
+    - cross evaluates every product family, in exact and float mode, and
+      prints a float zero product as 0.0 in every coordinate
     - verify emits the documented JSON reports and exits 0 when verdicts
       match expectations
-    - counterexample prints the exact failing quantities (4 vs 0)
+    - counterexample prints the exact failing quantities (4 vs 0), and
+      each vector's signed support, coefficients other than +-1 included
     - classify lists the verdict per level and the surviving dimensions
     - exit codes: 0 ok, 1 verdict mismatch (verify, classify and
       counterexample), 2 usage errors with their exact text
@@ -186,6 +188,11 @@ class TestCrossCommand:
         )
         assert status == 0
         assert [float(t) for t in out.strip().split(",")] == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("product", ["cross3", "det", "table", "padded"])
+    def test_float_zero_products_print_positive_zeros(self, capsys, product):
+        argv = ("--float", "cross", "--n", "3", "--u", "1,0,0", "--v", "1,0,0")
+        assert run(capsys, *argv, "--product", product) == (0, "0.0,0.0,0.0\n")
 
     def test_float_mode_rejects_non_finite_input(self, capsys):
         assert (
@@ -497,6 +504,14 @@ class TestCounterexampleCommand:
 
     def test_level_too_small(self, capsys):
         assert run_usage_error(capsys, "counterexample", "--k", "2") == 2
+
+    @pytest.mark.parametrize(
+        "coords, text",
+        [("0,0,1,0,0,0,0,0,0,1", "e3+e10"), ("0,0,0,0,0,1,0,-1", "e6-e8"),
+         ("0,1/2,-3", "1/2*e2-3*e3"), ("-2,0,5/3", "-2*e1+5/3*e3"), ("0,0", "0")],
+    )
+    def test_support_str(self, coords, text):
+        assert cli._support_str(Vector.exact(coords.split(","))) == text
 
 
 # == classify ================================================================

@@ -1,14 +1,16 @@
 """Unit tests for the vector arithmetic layer.
 
 Core claims:
-    - exact coordinates are Fractions in lowest terms; modes never mix
+    - exact coordinates are Fractions in lowest terms; modes never mix, and
+      neither mode takes a bool as a coordinate or a scale factor
     - Vector.unit refuses a dimension or an index that is not an int
     - dot is the plain coordinate sum, symmetric and bilinear
     - cross3 is the right-hand-rule product (e1 x e2 = e3, e3 x e2 = -e1)
     - cross7 matches the published basis products and is antisymmetric
     - padded_cross embeds the 3D product and kills coordinates 4..n
     - det_product is the formal first-row cofactor expansion: perpendicular
-      to every row, equal to cross3 for n = 3, zero on repeated rows
+      to every row, equal to cross3 for n = 3, zero on repeated rows, and
+      never -0.0 in double mode
     - parsing/formatting of comma-separated rational literals round-trips,
       and literals take ASCII digits only, with no underscores
     - the integer kernels behind exact dot/cross3/cross7/padded_cross and
@@ -109,6 +111,33 @@ class TestVectorBasics:
         w = Vector.double([1.0, 2.0])
         with pytest.raises(ValueError):
             w.scaled(Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Vector([True, 0]), "cannot use True as an exact rational coordinate"),
+            (lambda: Vector.double([False]), "cannot use False as a double coordinate"),
+            (lambda: Vector([1]).scaled(True), "cannot use True as an exact rational coordinate"),
+            (lambda: Vector.double([1.0]).scaled(True), "cannot use True as a double coordinate"),
+            (
+                lambda: Vector.double([Fraction(1, 2)]),
+                "cannot use Fraction(1, 2) as a double coordinate",
+            ),
+            (
+                lambda: Vector.double([1.0]).scaled("nan"),
+                "double mode expects a finite literal, got 'nan'",
+            ),
+        ],
+        ids=["exact-bool", "double-bool", "exact-scale-bool", "double-scale-bool",
+             "double-fraction", "double-scale-nan"],
+    )
+    def test_coordinates_and_scale_factors_are_checked(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_a_vector_equals_no_tuple(self):
+        assert not Vector([1]) == (1,)
+        assert Vector([1]) != (1,)
 
     def test_unit_and_zeros(self):
         e2 = Vector.unit(4, 2)
@@ -357,6 +386,8 @@ class TestDetProduct:
     def test_row_count_must_be_dim_minus_one(self):
         with pytest.raises(ValueError):
             det_product([Vector.exact([1, 2, 3])])
+        with pytest.raises(ValueError, match="^det_product needs at least one row vector$"):
+            det_product([])
 
     def test_inconsistent_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -367,6 +398,13 @@ class TestDetProduct:
         rows = [Vector.unit(n, i) for i in range(1, n)]
         with pytest.raises(ValueError):
             det_product(rows)
+
+    def test_double_zero_minors_give_positive_zeros(self):
+        # Odd coordinates are 0.0 minus their minor, so a 0.0 minor stays
+        # +0.0, as in table_product; negating it would give -0.0.
+        for rows in (([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), ([0.0, -1.0, 0.0], [0.0, 0.0, 0.0])):
+            out = det_product([Vector.double(r) for r in rows])
+            assert _bits(out.coords) == _bits([0.0, 0.0, 0.0])
 
     def test_2d_case_is_the_perpendicular_vector(self):
         out = det_product([Vector.exact([3, 4])])

@@ -20,7 +20,8 @@ Core claims:
       with the memo bypassed
     - the tables' sign rows certify perpendicular and identity 1.1, which
       the table products are expected to keep
-    - reports serialize to the documented JSON shape
+    - reports and witnesses are named tuples, and serialize to the
+      documented JSON shape, a witness's missing sides as null
     - a refuted report survives deepcopy and pickle, and the copy replays
 """
 
@@ -42,7 +43,9 @@ from crossn.verify import (
     HOLDS,
     IDENTITY_AXIOMS,
     REFUTED,
+    AxiomReport,
     ProductUnderTest,
+    Witness,
     check,
     check_bilinear,
     check_case,
@@ -414,6 +417,27 @@ class TestReports:
         assert doc["witness"]["lhs"] == "0"
         assert doc["witness"]["rhs"] == "1"
         json.dumps(doc)
+        # A witness of operands only writes its missing sides as null.
+        bare = report._replace(witness=Witness(*report.witness[:2])).to_json_dict()
+        assert bare["witness"] == {"u": ["0", "0", "0", "1"], "v": ["1", "0", "0", "0"],
+                                   "lhs": None, "rhs": None}
+
+    def test_reports_are_named_tuples(self):
+        report = check_pythagorean(padded_product(4), samples=5)
+        assert AxiomReport._fields == (
+            "product", "dim", "axiom", "verdict", "witness", "samples_run", "rng_seed", "expected"
+        )
+        assert AxiomReport._field_defaults == {"expected": None}
+        assert Witness._field_defaults == {"w": None, "lhs": None, "rhs": None}
+        assert report == tuple(report) and report.witness == tuple(report.witness)
+        assert repr(report) == (
+            "AxiomReport(product='padded-4', dim=4, axiom='pythagorean', verdict='refuted', "
+            "witness=Witness(u=Vector([0, 0, 0, 1], mode='exact'), "
+            "v=Vector([1, 0, 0, 0], mode='exact'), w=None, lhs=Fraction(0, 1), "
+            "rhs=Fraction(1, 1)), samples_run=1, rng_seed=1063, expected='refuted')"
+        )
+        with pytest.raises(AttributeError):
+            report.verdict = HOLDS
 
     def test_replay_requires_witness(self):
         report = check_pythagorean(cross3_product(), samples=5)
@@ -456,10 +480,10 @@ class TestReplay:
             others = [Vector.unit(w.u.dim, i) for i in range(1, w.u.dim + 1)]
             other = next(e for e in others if e != w.u and e != w.v)
             for tampered in (
-                dataclasses.replace(w, lhs=_changed(w.lhs)),
-                dataclasses.replace(w, u=other),
+                w._replace(lhs=_changed(w.lhs)),
+                w._replace(u=other),
             ):
-                bad = dataclasses.replace(report, witness=tampered)
+                bad = report._replace(witness=tampered)
                 assert not replay(bad, product), (report.axiom, tampered)
 
     def test_copies_of_a_refuted_report_replay(self):
