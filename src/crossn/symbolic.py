@@ -89,34 +89,6 @@ def _check_level(k: int, low: int) -> None:
         raise ValueError(f"level must be in {low}..{MAX_LEVEL}, got {k!r}")
 
 
-class BasisWord(NamedTuple("BasisWord", [("generators", frozenset)])):
-    """Canonical nested product of generators, e.g. {0,1,2} = (u0 x u1) x u2."""
-
-    __slots__ = ()
-
-    def __new__(cls, generators):
-        gens = frozenset(generators)
-        if not gens:
-            raise ValueError("a basis word needs at least one generator")
-        if any(type(b) is not int or b < 0 for b in gens):
-            raise ValueError(f"generators must be non-negative ints, got {set(gens)}")
-        return tuple.__new__(cls, (gens,))
-
-    @classmethod
-    def from_index(cls, index: int) -> "BasisWord":
-        if index < 1:
-            raise ValueError(f"basis index must be >= 1, got {index}")
-        return cls(frozenset(b for b in range(index.bit_length()) if index >> b & 1))
-
-    @property
-    def index(self) -> int:
-        """Binary encoding: generator b contributes 2**b."""
-        return sum(1 << b for b in self.generators)
-
-    def __str__(self) -> str:
-        return tree_str(_word_tree(self.index))
-
-
 @lru_cache(maxsize=2 << MAX_LEVEL)  # every index up to the largest level
 def _word_tree(index: int) -> Tree:
     """The canonical word of generator set ``index`` (>= 1), read from its bits."""
@@ -127,22 +99,15 @@ def _word_tree(index: int) -> Tree:
     return node
 
 
-def build_basis(k: int) -> List[BasisWord]:
-    """All level-k basis words, in construction order.
+def build_basis(k: int) -> List[Tree]:
+    """All level-k basis words, as canonical trees, in construction order.
 
     The order mirrors the recursion: level k-1 first, then u_k, then the
     level k-1 words each multiplied by u_k.  This coincides with increasing
-    index order.
+    index order, so word m is ``_word_tree(m)``; ``tree_str`` renders it.
     """
     _check_level(k, 0)
-    words = [BasisWord(frozenset({0}))]
-    for b in range(1, k + 1):
-        words = (
-            words
-            + [BasisWord(frozenset({b}))]
-            + [BasisWord(w.generators | {b}) for w in words]
-        )
-    return words
+    return [_word_tree(m) for m in range(1, _index_bound(k) + 1)]
 
 
 class SignedBasis(NamedTuple("SignedBasis", [("sign", int), ("index", int)])):
@@ -156,12 +121,12 @@ class SignedBasis(NamedTuple("SignedBasis", [("sign", int), ("index", int)])):
     __slots__ = ()
 
     def __new__(cls, sign: int, index: int):
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
+        if type(sign) is not int or sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
         if (sign == 0) != (index == 0):
             raise ValueError(f"zero has no index: sign={sign}, index={index}")
-        if index < 0:
-            raise ValueError(f"index must be >= 0, got {index}")
+        if type(index) is not int or index < 0:
+            raise ValueError(f"index must be a non-negative int, got {index!r}")
         return tuple.__new__(cls, (sign, index))
 
     @property

@@ -1,11 +1,15 @@
 """Unit tests for basis words, the rewrite normalizer and table generation.
 
 Core claims:
-    - build_basis follows the recursion (previous level, new generator,
-      previous level times new generator) and has 2**(k+1)-1 elements
-    - the generator-set encoding is a bijection onto 1..2**(k+1)-1
-    - the five value types (BasisWord, SignedBasis, RewriteStep,
-      RewriteTrace, MulTable) are immutable records: a pinned repr, the same
+    - build_basis returns canonical word trees that follow the paper's
+      recursion (previous level, new generator, previous level times new
+      generator), 2**(k+1)-1 of them, rendered by tree_str
+    - _word_index reads word m of the construction as index m, so the
+      generator-set encoding is a bijection onto 1..2**(k+1)-1
+    - SignedBasis rejects a sign or an index that is not an int, bools and
+      floats included
+    - the four value types (SignedBasis, RewriteStep, RewriteTrace,
+      MulTable) are immutable records: a pinned repr, the same
       value by position and by keyword, equality and hash by fields (a
       plain tuple of the fields included), AttributeError on assignment,
       and pickle and copy round trips, which re-run the construction checks
@@ -54,8 +58,8 @@ Core claims:
       on the final expression of every trace at levels 0..4
     - the level >= 3 witness pair, ``product_for_table(table).known``, is
       e3 + e10 and e6 - e15, zero-padded; it equals the pair built from its
-      basis words at every level 3..10, its product vanishes there, and
-      levels 1 and 2 have none
+      basis words, each read as its place in build_basis(3), at every level
+      3..10, its product vanishes there, and levels 1 and 2 have none
 """
 
 import copy
@@ -80,7 +84,6 @@ from crossn.symbolic import (
     RULE_PAIR_COLLAPSE,
     RULE_SHIFT,
     ZERO_EXPR,
-    BasisWord,
     MulTable,
     RewriteStep,
     RewriteTrace,
@@ -94,6 +97,7 @@ from crossn.symbolic import (
     table_to_csv,
     table_to_json,
     table_to_markdown,
+    tree_str,
     _double,
     _xor_rows,
     _norm_indices,
@@ -127,57 +131,56 @@ R7_CELLS = [
 
 
 class TestBasisWord:
+    """The generator-set encoding of a word tree: generator u_b sets bit b of
+    its index, and ``_word_tree`` reads the tree back from the index."""
+
     def test_index_encoding(self):
-        assert BasisWord(frozenset({0, 1})).index == 3
-        assert BasisWord(frozenset({0, 1, 2})).index == 7
-        assert BasisWord(frozenset({3})).index == 8
+        assert _word_index((0, 1)) == 3
+        assert _word_index(((0, 1), 2)) == 7
+        assert _word_index(3) == 8
 
     def test_from_index_round_trip(self):
         for m in range(1, 256):
-            assert BasisWord.from_index(m).index == m
-
-    def test_canonical_nesting_string(self):
-        assert str(BasisWord(frozenset({0}))) == "u0"
-        assert str(BasisWord(frozenset({0, 1}))) == "u0 × u1"
-        assert str(BasisWord(frozenset({0, 1, 2}))) == "(u0 × u1) × u2"
-
-    def test_rejects_empty_and_negative(self):
-        with pytest.raises(ValueError):
-            BasisWord(frozenset())
-        with pytest.raises(ValueError):
-            BasisWord(frozenset({-1}))
-        with pytest.raises(ValueError):
-            BasisWord.from_index(0)
-
-    def test_rejects_bool_generators(self):
-        # True is an int subclass; as a generator it would print as u1.
-        message = "generators must be non-negative ints, got {True}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            BasisWord(frozenset({True}))
+            assert _word_index(_word_tree(m)) == m
 
 
 class TestBuildBasis:
+    """Basis words are canonical trees: a generator, or (word, u_t) with u_t
+    above every generator of the word."""
+
+    def test_paper_recursion(self):
+        # level k-1, then u_k, then each level k-1 word times u_k
+        assert build_basis(0) == [0]
+        for k in range(1, MAX_LEVEL + 1):
+            below = build_basis(k - 1)
+            assert build_basis(k) == below + [k] + [(w, k) for w in below]
+
+    def test_canonical_nesting_string(self):
+        words = build_basis(2)
+        assert tree_str(words[0]) == "u0"
+        assert tree_str(words[2]) == "u0 × u1"
+        assert tree_str(words[6]) == "(u0 × u1) × u2"
+
     def test_level_zero(self):
         words = build_basis(0)
-        assert [str(w) for w in words] == ["u0"]
+        assert [tree_str(w) for w in words] == ["u0"]
 
     def test_level_one(self):
-        assert [str(w) for w in build_basis(1)] == ["u0", "u1", "u0 × u1"]
+        assert [tree_str(w) for w in build_basis(1)] == ["u0", "u1", "u0 × u1"]
 
     def test_level_three_size_and_last_word(self):
         words = build_basis(3)
         assert len(words) == 15
-        assert str(words[-1]) == "((u0 × u1) × u2) × u3"
+        assert tree_str(words[-1]) == "((u0 × u1) × u2) × u3"
 
     def test_sizes_up_to_max_level(self):
         for k in range(MAX_LEVEL + 1):
             assert len(build_basis(k)) == 2 ** (k + 1) - 1
 
     def test_construction_order_is_index_order(self):
-        for k in range(6):
-            assert [w.index for w in build_basis(k)] == list(
-                range(1, 2 ** (k + 1))
-            )
+        # word m of the construction has index m, at every position
+        for m, word in enumerate(build_basis(MAX_LEVEL), start=1):
+            assert _word_index(word) == m
 
     def test_out_of_range_levels(self):
         with pytest.raises(ValueError):
@@ -203,6 +206,16 @@ class TestSignedBasis:
             cell = SignedBasis((v > 0) - (v < 0), abs(v))
             assert cell.sign * cell.index == v
 
+    def test_rejects_fields_that_are_not_ints(self):
+        for sign, index, message in (
+            (True, 3, "sign must be -1, 0 or +1, got True"),
+            (1.0, 2, "sign must be -1, 0 or +1, got 1.0"),
+            (1, 3.0, "index must be a non-negative int, got 3.0"),
+            (-1, "3", "index must be a non-negative int, got '3'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SignedBasis(sign, index)
+
     def test_str(self):
         assert str(SignedBasis(1, 3)) == "e3"
         assert str(SignedBasis(-1, 4)) == "−e4"
@@ -215,8 +228,6 @@ class TestSignedBasis:
 R1_SIGNS = (array("b", [0, 0, 0, 0]), array("b", [0, 0, 1, -1]),
             array("b", [0, -1, 0, 1]), array("b", [0, 1, -1, 0]))
 VALUE_TYPES = [
-    (BasisWord, {"generators": frozenset({0, 2})},
-     "BasisWord(generators=frozenset({0, 2}))"),
     (SignedBasis, {"sign": -1, "index": 3}, "SignedBasis(sign=-1, index=3)"),
     (RewriteStep, {"rule": "cancellation", "after": (-1, 1)},
      "RewriteStep(rule='cancellation', after=(-1, 1))"),
@@ -235,7 +246,7 @@ VALUE_TYPES = [
     "cls, fields, text", VALUE_TYPES, ids=[cls.__name__ for cls, _, _ in VALUE_TYPES]
 )
 class TestValueTypes:
-    """The five value types are immutable records: fields in a fixed order,
+    """The four value types are immutable records: fields in a fixed order,
     built by position or keyword, equal and hashed by their fields."""
 
     def test_repr(self, cls, fields, text):
@@ -272,11 +283,12 @@ class TestValueTypes:
 @pytest.mark.parametrize(
     "cls, fields, message",
     [
-        (BasisWord, (frozenset(),), "a basis word needs at least one generator"),
-        (BasisWord, (frozenset({True}),), "generators must be non-negative ints, got {True}"),
+        (SignedBasis, (True, 3), "sign must be -1, 0 or +1, got True"),
+        (SignedBasis, (1.0, 2), "sign must be -1, 0 or +1, got 1.0"),
         (SignedBasis, (2, 3), "sign must be -1, 0 or +1, got 2"),
         (SignedBasis, (0, 3), "zero has no index: sign=0, index=3"),
-        (SignedBasis, (-1, -3), "index must be >= 0, got -3"),
+        (SignedBasis, (-1, -3), "index must be a non-negative int, got -3"),
+        (SignedBasis, (1, 3.0), "index must be a non-negative int, got 3.0"),
     ],
 )
 def test_copies_rerun_the_checks(cls, fields, message):
@@ -1419,13 +1431,8 @@ class TestCounterexampleVectors:
         assert sum(1 for c in v.coords if c) == 2
 
     def test_words_behind_the_indices(self):
-        # the four summands are genuine level-3 words
-        assert BasisWord(frozenset({0, 1})).index == 3
-        assert BasisWord(frozenset({1, 3})).index == 10
-        assert BasisWord(frozenset({1, 2})).index == 6
-        assert BasisWord(frozenset({0, 1, 2, 3})).index == 15
-        level3 = {w.index for w in build_basis(3)}
-        assert {3, 10, 6, 15} <= level3
+        # the four summands are genuine level-3 words, found by position
+        assert [word_position(w) for w in (U0U1, U1U3, U1U2, U0U1U2U3)] == [3, 10, 6, 15]
 
     def test_embedding_at_higher_level(self):
         u3, v3 = known_pair(3)
@@ -1451,6 +1458,16 @@ class TestCounterexampleVectors:
         assert known_pair(k) == word_counterexample(k)
 
 
+# The four words behind the witness pair, as trees.
+U0U1, U1U3, U1U2, U0U1U2U3 = (0, 1), (1, 3), (1, 2), (((0, 1), 2), 3)
+
+
+def word_position(word):
+    """The index of a level-3 word, read as its place in the construction
+    order and not from the XOR index law."""
+    return build_basis(3).index(word) + 1
+
+
 def word_counterexample(k):
     """The witness pair built from its basis words, the reference for
     ``product_for_table(table).known``: u = u0 x u1 + u1 x u3 and
@@ -1458,10 +1475,10 @@ def word_counterexample(k):
     n = 2 ** (k + 1) - 1
     u_coords = [Fraction(0)] * n
     v_coords = [Fraction(0)] * n
-    for gens in (frozenset({0, 1}), frozenset({1, 3})):
-        u_coords[BasisWord(gens).index - 1] = Fraction(1)
-    v_coords[BasisWord(frozenset({1, 2})).index - 1] = Fraction(1)
-    v_coords[BasisWord(frozenset({0, 1, 2, 3})).index - 1] = Fraction(-1)
+    for word in (U0U1, U1U3):
+        u_coords[word_position(word) - 1] = Fraction(1)
+    v_coords[word_position(U1U2) - 1] = Fraction(1)
+    v_coords[word_position(U0U1U2U3) - 1] = Fraction(-1)
     return Vector(u_coords), Vector(v_coords)
 
 
