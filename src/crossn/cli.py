@@ -13,15 +13,23 @@ import errno
 import os
 import stat
 import sys
-import tempfile
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import symbolic
-from .vecalg import DOUBLE, EXACT, Vector, det_product, dot, format_vector, \
-    parse_vector, table_product
 
 if TYPE_CHECKING:
     from . import verify
+    from .vecalg import Vector
+
+
+def __getattr__(name):
+    # Serves only cli.table_product, which the benchmark's tracing wraps by
+    # name, without loading vecalg at import.  ROADMAP item 1 retires it.
+    if name != "table_product":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .vecalg import table_product
+
+    return table_product
 
 
 def _verify():
@@ -62,19 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--exact",
-        dest="mode",
-        action="store_const",
-        const=EXACT,
+        dest="float",
+        action="store_false",
         help="exact rational arithmetic (default)",
     )
     mode.add_argument(
         "--float",
-        dest="mode",
-        action="store_const",
-        const=DOUBLE,
+        dest="float",
+        action="store_true",
         help="double-precision evaluation (product evaluation only)",
     )
-    parser.set_defaults(mode=EXACT)
+    # Else --exact, added first, would set its store_false default, True.
+    parser.set_defaults(float=False)
     parser.add_argument("--output", metavar="PATH", help="write output to a file")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -128,9 +135,12 @@ def cmd_table(args, parser) -> Tuple[str, int]:
 
 
 def cmd_cross(args, parser) -> Tuple[str, int]:
+    from .vecalg import DOUBLE, EXACT, det_product, format_vector, parse_vector
+
+    mode = DOUBLE if args.float else EXACT
     try:
-        u = parse_vector(args.u, args.mode)
-        v = parse_vector(args.v, args.mode)
+        u = parse_vector(args.u, mode)
+        v = parse_vector(args.v, mode)
     except ValueError as exc:
         parser.error(str(exc))
     if u.dim != args.n or v.dim != args.n:
@@ -187,7 +197,7 @@ def _parse_axioms(raw: str, parser) -> List[str]:
 
 
 def cmd_verify(args, parser) -> Tuple[str, int]:
-    if args.mode == DOUBLE:
+    if args.float:
         parser.error("verification runs in exact mode only")
     if args.samples is not None and args.samples < 1:
         parser.error("--samples must be >= 1")
@@ -226,7 +236,7 @@ def _support_str(v: Vector) -> str:
 
 
 def cmd_counterexample(args, parser) -> Tuple[str, int]:
-    if args.mode == DOUBLE:
+    if args.float:
         parser.error("the counterexample is computed in exact mode only")
     if args.k < 3:
         parser.error(
@@ -236,6 +246,7 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
     if args.k > symbolic.MAX_LEVEL:
         parser.error(f"--k must be <= {symbolic.MAX_LEVEL}")
     from . import verify
+    from .vecalg import dot, format_vector, table_product
 
     table = symbolic.build_table(args.k)
     product = verify.product_for_table(table)
@@ -264,7 +275,7 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
 
 
 def cmd_classify(args, parser) -> Tuple[str, int]:
-    if args.mode == DOUBLE:
+    if args.float:
         parser.error("classification runs in exact mode only")
     if not 1 <= args.max_k <= symbolic.MAX_LEVEL:
         parser.error(f"--max-k must be in 1..{symbolic.MAX_LEVEL}")
@@ -324,6 +335,8 @@ def _write_output(path: str, text: str) -> None:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}."
     )

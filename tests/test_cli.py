@@ -549,6 +549,44 @@ class TestClassifyCommand:
         assert run_usage_error(capsys, "classify", "--max-k", "11") == 2
 
 
+# == mode flags and help =====================================================
+
+
+class TestModeFlags:
+    def test_exact_and_float_exclude_each_other(self, capsys):
+        for flags in (("--exact", "--float"), ("--float", "--exact")):
+            assert run_usage_error(capsys, *flags, "table", "--k", "1") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cross", "--product", "cross3", "--n", "3", "--u", "1,2,3", "--v", "4,5,-6/7"),
+            ("cross", "--product", "det", "--n", "3", "--u", "1,2,3", "--v", "4,5,6"),
+            ("verify", "--product", "table", "--k", "3", "--samples", "5"),
+            ("classify", "--max-k", "4"),
+            ("counterexample", "--k", "4"),
+        ],
+        ids=["cross", "cross-det", "verify", "classify", "counterexample"],
+    )
+    def test_explicit_exact_is_the_default(self, capsys, argv):
+        assert run(capsys, "--exact", *argv) == run(capsys, *argv)
+
+
+# Recorded with COLUMNS=80 before the mode flags shared one boolean.  argparse
+# wraps help differently across Python versions, so whitespace is collapsed.
+@pytest.mark.parametrize(
+    "command", ["crossn", "table", "cross", "verify", "counterexample", "classify"]
+)
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "crossn" else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    expected = (GOLDEN / "help" / f"{command}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out.split() == expected.split()
+
+
 # == output plumbing =========================================================
 
 
@@ -675,7 +713,8 @@ class TestOutputFile:
 # sha256 of stdout, which no refactoring or fast path may move: verify
 # reports at the default seed, tables in every format, exact and double
 # products, and classify and counterexample up to level 10.  --help is left
-# out, because argparse wraps it differently across Python versions.
+# out, because argparse wraps it differently across Python versions;
+# test_help_text compares it word by word.
 # Dense level-4 operands for table crosses: exact ones with denominators far
 # outside the verifier's {1, 2, 3}, and decimal ones whose float sums round.
 _U31 = ",".join(f"{(-1) ** i * i}/{i + 4}" for i in range(1, 32))

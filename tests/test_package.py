@@ -3,10 +3,13 @@ imported from the submodule that defines it.
 
 Core claims:
     - ``import crossn`` loads no submodule and serves no submodule's names
-    - a ``table`` command loads ``cli``, ``symbolic`` and ``vecalg`` only,
-      and ``verify`` loads when it is imported
-    - a cold ``table`` command, run without site-packages, loads neither
-      ``dataclasses`` nor ``json``
+    - a ``table`` command loads ``cli`` and ``symbolic`` only, and
+      ``verify`` loads when it is imported
+    - a cold ``table`` command in any format, run without site-packages,
+      loads none of ``vecalg``, ``verify``, ``dataclasses``, ``json``,
+      ``fractions``, ``decimal`` and ``tempfile``
+    - ``cli.table_product`` is ``vecalg.table_product``, served on first use;
+      ``cli`` serves no other ``vecalg`` name
     - ``symbolic`` imports no other ``crossn`` module: building a table and
       reading it back from JSON loads neither ``fractions`` nor ``decimal``
 """
@@ -49,8 +52,10 @@ LOADS = textwrap.dedent("""
 COLD_TABLE = textwrap.dedent("""
     import os, sys
     import crossn.cli
-    crossn.cli.main(["--output", os.devnull, "table", "--k", "2"])
-    print(sorted(m for m in ("dataclasses", "json") if m in sys.modules))
+    for fmt in ("md", "csv", "json"):
+        crossn.cli.main(["--output", os.devnull, "table", "--k", "2", "--format", fmt])
+    print(sorted(m for m in ("crossn.vecalg", "crossn.verify", "dataclasses", "json",
+                             "fractions", "decimal", "tempfile") if m in sys.modules))
 """)
 
 SYMBOLIC_ALONE = textwrap.dedent("""
@@ -75,14 +80,23 @@ def _run(*args):
 def test_a_command_loads_only_the_modules_it_runs():
     assert json.loads(_run("-W", "error", "-c", LOADS)) == [
         [],
-        ["crossn.cli", "crossn.symbolic", "crossn.vecalg"],
+        ["crossn.cli", "crossn.symbolic"],
         ["crossn.cli", "crossn.symbolic", "crossn.vecalg", "crossn.verify"],
     ]
 
 
 def test_a_cold_table_command_loads_neither_dataclasses_nor_json():
-    # -S: no .pth file in site-packages can load either module first.
+    # -S: no .pth file in site-packages can load any of them first.
     assert _run("-S", "-W", "error", "-c", COLD_TABLE) == "[]\n"
+
+
+def test_cli_serves_table_product_alone_from_vecalg():
+    import crossn.cli
+    import crossn.vecalg
+
+    assert crossn.cli.table_product is crossn.vecalg.table_product
+    with pytest.raises(AttributeError):
+        crossn.cli.parse_vector
 
 
 def test_symbolic_loads_no_other_crossn_module():
