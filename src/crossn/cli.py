@@ -23,8 +23,8 @@ if TYPE_CHECKING:
 
 
 def __getattr__(name):
-    # Serves only cli.table_product, which the benchmark's tracing wraps by
-    # name, without loading vecalg at import.  ROADMAP item 1 retires it.
+    # Serves only cli.table_product, for the benchmark's tracing, which wraps
+    # it by name; cli multiplies through _product.  ROADMAP item 1 retires it.
     if name != "table_product":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .vecalg import table_product
@@ -32,32 +32,9 @@ def __getattr__(name):
     return table_product
 
 
-def _verify():
-    """The verify module, imported on first use; a lambda cannot hold the import."""
-    from . import verify
-
-    return verify
-
-
-# Each product family's dimension test, cross's usage text when the test
-# fails, constructor (from the dimension) and fixed dimension, if it has one.
-# The constructors look verify's factories up at call time, so that a patch
-# of them (as in bench/tracing.py) takes effect and only a command that
-# builds a product loads verify.  Table dimensions are
-# n = 2^(k+1)-1 for levels 1..MAX_LEVEL.
-FAMILIES = {
-    "table": (
-        lambda n: 3 <= n < 2 << symbolic.MAX_LEVEL and not n & (n + 1),
-        "--n {n} is not a table dimension (need n = 2^(k+1)-1)",
-        lambda n: _verify().product_for_table(symbolic.build_table(n.bit_length() - 1)),
-        None,
-    ),
-    "cross3": (lambda n: n == 3, "cross3 needs --n 3", lambda n: _verify().cross3_product(), 3),
-    "cross7": (lambda n: n == 7, "cross7 needs --n 7", lambda n: _verify().cross7_product(), 7),
-    "padded": (
-        lambda n: n >= 3, "padded needs --n >= 3", lambda n: _verify().padded_product(n), None
-    ),
-}
+# --product's families, and the fixed dimension of each formula product.
+_PRODUCTS = ("table", "cross3", "cross7", "padded")
+_FIXED_DIM = {"cross3": 3, "cross7": 7}
 FORMATS = {"md": "markdown", "csv": "csv", "json": "json"}
 AXIOM_CHOICES = ("perpendicular", "pythagorean", "bilinear", "identities", "all")
 
@@ -97,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--u", required=True, help="first vector, e.g. 1,-2/3,0 (--u=-1,2,0 if it starts with -)"
     )
     p_cross.add_argument("--v", required=True, help="second vector (--v=-4,5,6 likewise)")
-    p_cross.add_argument("--product", choices=[*FAMILIES, "det"], required=True)
+    p_cross.add_argument("--product", choices=[*_PRODUCTS, "det"], required=True)
 
     p_verify = sub.add_parser("verify", help="check axioms against a product")
-    p_verify.add_argument("--product", choices=list(FAMILIES), required=True)
+    p_verify.add_argument("--product", choices=_PRODUCTS, required=True)
     p_verify.add_argument("--n", type=int, help="dimension (padded/cross3/cross7)")
     p_verify.add_argument("--k", type=int, help="table level (table product)")
     # No defaults here: verify's checkers own them, and only the options given
@@ -152,33 +129,51 @@ def cmd_cross(args, parser) -> Tuple[str, int]:
                 "with two inputs it is only defined for --n 3",
             )
         return format_vector(det_product([u, v])), 0
-    fits, usage, make, _ = FAMILIES[args.product]
-    if not fits(args.n):
-        parser.error(usage.format(n=args.n))
-    return format_vector(make(args.n).evaluate(u, v)), 0
+    return format_vector(_product(args.product, args.n, parser).evaluate(u, v)), 0
+
+
+def _product(name: str, n: int, parser) -> verify.ProductUnderTest:
+    """Family ``name``'s product on R^n; a usage error if n does not fit it.
+
+    Table dimensions are n = 2^(k+1)-1 for levels 1..MAX_LEVEL.  verify's
+    factories are looked up when called, so that a patch of them (as in
+    bench/tracing.py) takes effect.
+    """
+    from . import verify
+
+    if name == "table":
+        if not 3 <= n < 2 << symbolic.MAX_LEVEL or n & (n + 1):
+            parser.error(f"--n {n} is not a table dimension (need n = 2^(k+1)-1)")
+        return verify.product_for_table(symbolic.build_table(n.bit_length() - 1))
+    if name == "padded":
+        if n < 3:
+            parser.error("padded needs --n >= 3")
+        return verify.padded_product(n)
+    if n != _FIXED_DIM[name]:
+        parser.error(f"{name} needs --n {_FIXED_DIM[name]}")
+    return (verify.cross3_product if name == "cross3" else verify.cross7_product)()
 
 
 def _product_under_test(args, parser) -> verify.ProductUnderTest:
+    """The product verify checks; n comes from --k or the fixed dimension."""
     name, n = args.product, args.n
-    fits, usage, make, dim = FAMILIES[name]
-    label = name
     if name == "table":
         if args.k is None:
             parser.error("verify --product table needs --k")
         if not 1 <= args.k <= symbolic.MAX_LEVEL:
             parser.error(f"--k must be in 1..{symbolic.MAX_LEVEL}")
-        label, dim = f"the level-{args.k} table", (1 << (args.k + 1)) - 1
+        label, dim = f"the level-{args.k} table", (2 << args.k) - 1
     elif args.k is not None:
         parser.error("--k applies only to --product table")
+    else:
+        label, dim = name, _FIXED_DIM.get(name)
     if dim is not None:
         if n not in (None, dim):
             parser.error(f"{label} has dimension {dim}")
-        return make(dim)
-    if n is None:
+        n = dim
+    elif n is None:
         parser.error(f"verify --product {name} needs --n")
-    if not fits(n):
-        parser.error(usage.format(n=n))
-    return make(n)
+    return _product(name, n, parser)
 
 
 def _parse_axioms(raw: str, parser) -> List[str]:
@@ -246,10 +241,9 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
     if args.k > symbolic.MAX_LEVEL:
         parser.error(f"--k must be <= {symbolic.MAX_LEVEL}")
     from . import verify
-    from .vecalg import dot, format_vector, table_product
+    from .vecalg import dot, format_vector
 
-    table = symbolic.build_table(args.k)
-    product = verify.product_for_table(table)
+    product = _product("table", (2 << args.k) - 1, parser)
     u, v = product.known
     witness = verify.check_case(product, verify.AXIOM_PYTHAGOREAN, u, v)
     duu, dvv = dot(u, u), dot(v, v)
@@ -257,10 +251,10 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
     # The test's rhs is (u.u)(v.v), printed as LHS; with no witness both agree.
     rhs = lhs if witness is None else witness.lhs
     lines = [
-        f"k = {args.k}, n = {table.n}",
+        f"k = {args.k}, n = {product.dim}",
         f"u = {format_vector(u)}   ({_support_str(u)})",
         f"v = {format_vector(v)}   ({_support_str(v)})",
-        f"u x v = {format_vector(table_product(table, u, v))}",
+        f"u x v = {format_vector(product.evaluate(u, v))}",
         f"u . v = {dot(u, v)}",
         f"u . u = {duu}",
         f"v . v = {dvv}",

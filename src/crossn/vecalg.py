@@ -33,9 +33,11 @@ MAX_DET_DIM = 12
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
-# Exact ``scaled``, ``+``, ``-`` and ``table_product`` give every zero
-# coordinate this one value, and ``zero_scalar`` returns it, so ``unit`` and
-# ``padded_cross`` pad with it too.
+# Exact ``scaled``, ``+``, ``-`` and ``table_product`` give this one value to
+# every coordinate that no nonzero term reaches; where terms cancel, or the
+# scale factor is 0, the zero is a fresh Fraction.  Exact ``cross3`` and
+# ``cross7`` give it to every zero coordinate, and ``zero_scalar`` returns
+# it, so ``unit`` and ``padded_cross`` pad with it too.
 _ZERO = Fraction(0)
 
 
@@ -161,16 +163,10 @@ class Vector:
         return f"Vector([{', '.join(str(c) for c in self.coords)}], mode={self.mode!r})"
 
     def __add__(self, other: "Vector") -> "Vector":
-        _check_pair(self, other, "+")
-        if self.mode == EXACT:
-            return _exact_sum(operator.add, self, other)
-        return Vector._of(tuple(map(operator.add, self.coords, other.coords)), self.mode)
+        return _sum(operator.add, "+", self, other)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        _check_pair(self, other, "-")
-        if self.mode == EXACT:
-            return _exact_sum(operator.sub, self, other)
-        return Vector._of(tuple(map(operator.sub, self.coords, other.coords)), self.mode)
+        return _sum(operator.sub, "-", self, other)
 
     def __neg__(self) -> "Vector":
         return Vector._of(tuple(-a for a in self.coords), self.mode)
@@ -255,9 +251,12 @@ def _terms(v: Vector) -> Tuple[Tuple[int, Scalar], ...]:
     return terms
 
 
-def _exact_sum(op, u: Vector, v: Vector) -> Vector:
-    """``op`` (add or sub) of two exact vectors of equal dimension, computed
-    on their cleared integers with one Fraction per nonzero coordinate."""
+def _sum(op, name: str, u: Vector, v: Vector) -> Vector:
+    """``op`` (add or sub) of two vectors; exact mode works on their cleared
+    integers, with one Fraction per nonzero coordinate."""
+    _check_pair(u, v, name)
+    if u.mode == DOUBLE:
+        return Vector._of(tuple(map(op, u.coords, v.coords)), DOUBLE)
     xs, dx = _cleared(u)
     ys, dy = _cleared(v)
     d = dx * dy
@@ -285,19 +284,22 @@ def dot(u: Vector, v: Vector) -> Scalar:
     return total
 
 
-def _bilinear(formula, u: Vector, v: Vector) -> Vector:
-    """Apply a coordinate formula that is linear in each argument.
+def _bilinear(formula, name: str, dim: int, u: Vector, v: Vector) -> Vector:
+    """Apply ``name``'s coordinate formula, linear in each argument, on R^dim.
 
     Double mode evaluates it on the float coordinates.  Exact mode evaluates
-    it on the cleared integer numerators and divides each output coordinate
-    once by the product of the two denominators.
+    it on the cleared integer numerators and divides each nonzero output
+    coordinate once by the product of the two denominators.
     """
+    _check_pair(u, v, name)
+    if u.dim != dim:
+        raise ValueError(f"{name} needs {dim}-dimensional vectors, got dim {u.dim}")
     if u.mode == DOUBLE:
         return Vector._of(formula(u.coords, v.coords), DOUBLE)
     xs, dx = _cleared(u)
     ys, dy = _cleared(v)
     d = dx * dy
-    return Vector._of(tuple(Fraction(t, d) for t in formula(xs, ys)), EXACT)
+    return Vector._of(tuple(Fraction(t, d) if t else _ZERO for t in formula(xs, ys)), EXACT)
 
 
 def _cross3(x: Sequence, y: Sequence) -> tuple:
@@ -322,10 +324,7 @@ def _cross7(x: Sequence, y: Sequence) -> tuple:
 
 def cross3(u: Vector, v: Vector) -> Vector:
     """Right-hand-rule product on R^3."""
-    _check_pair(u, v, "cross3")
-    if u.dim != 3:
-        raise ValueError(f"cross3 needs 3-dimensional vectors, got dim {u.dim}")
-    return _bilinear(_cross3, u, v)
+    return _bilinear(_cross3, "cross3", 3, u, v)
 
 
 def cross7(u: Vector, v: Vector) -> Vector:
@@ -334,10 +333,7 @@ def cross7(u: Vector, v: Vector) -> Vector:
     Agrees coordinate-for-coordinate with the bilinear extension of the
     7x7 basis table at level k=2 (tested exhaustively and on random pairs).
     """
-    _check_pair(u, v, "cross7")
-    if u.dim != 7:
-        raise ValueError(f"cross7 needs 7-dimensional vectors, got dim {u.dim}")
-    return _bilinear(_cross7, u, v)
+    return _bilinear(_cross7, "cross7", 7, u, v)
 
 
 def padded_cross(u: Vector, v: Vector) -> Vector:

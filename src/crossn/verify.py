@@ -164,12 +164,7 @@ def _side_json(x: Optional[Side]):
 def _witness_json(w: Optional[Witness]):
     if w is None:
         return None
-    doc = {"u": _side_json(w.u), "v": _side_json(w.v)}
-    if w.w is not None:
-        doc["w"] = _side_json(w.w)
-    doc["lhs"] = _side_json(w.lhs)
-    doc["rhs"] = _side_json(w.rhs)
-    return doc
+    return {k: _side_json(x) for k, x in w._asdict().items() if k != "w" or x is not None}
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -489,8 +484,9 @@ def expected_verdict(product: ProductUnderTest, axiom: str) -> Optional[str]:
     witness against it.  The other axioms it does not keep get no
     expectation: the sampled stages can miss their witnesses (for 1.5 on
     tables from level 3 they do), and an expected refutation would then
-    flip the exit code.
+    flip the exit code.  An unknown axiom name raises ``ValueError``.
     """
+    _axiom(axiom)
     if axiom == AXIOM_BILINEAR or axiom in (product.kept or ()):
         return HOLDS
     if axiom == AXIOM_PYTHAGOREAN and product.kept is not None:

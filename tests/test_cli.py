@@ -241,6 +241,34 @@ class TestCrossCommand:
             f"crossn: error: {message}"
         )
 
+    @pytest.mark.parametrize("product", ["cross3", "cross7", "padded", "table"])
+    def test_cross_and_verify_accept_the_same_dimensions(self, capsys, product):
+        # Both commands build a family's product through one function.  verify
+        # takes a table's level, not n, so a table's n is checked against
+        # n = 2^(k+1)-1 for k in 1..10.
+        def status(*argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            capsys.readouterr()
+            assert code in (0, 2)
+            return code
+
+        tables = [(2 << k) - 1 for k in range(1, 11)]
+        dims = [*range(1, 17), 31, 2047, 4095] if product == "table" else range(1, 10)
+        for n in dims:
+            e1 = ",".join(["1"] + ["0"] * (n - 1))
+            crossed = status("cross", "--n", str(n), "--u", e1, "--v", e1, "--product", product)
+            if product == "table":
+                assert (crossed == 0) == (n in tables), n
+            else:
+                checked = status(
+                    "verify", "--product", product, "--n", str(n), "--samples", "1",
+                    "--axioms", "perpendicular",
+                )
+                assert crossed == checked, n
+
     def test_malformed_vector(self, capsys):
         assert (
             run_usage_error(
@@ -385,7 +413,7 @@ class TestVerifyCommand:
         )
 
     def test_contradicted_expectation_exits_1(self, capsys, monkeypatch):
-        # cli.FAMILIES looks the factory up at call time, so this broken
+        # cli._product looks the factory up at call time, so this broken
         # product stands in for cross7, which is expected to keep everything.
         real = verify.cross7_product
         monkeypatch.setattr(

@@ -714,6 +714,11 @@ class TestIntegerKernels:
         out = table_product(build_table(1), Vector.unit(3, 1), Vector.unit(3, 2))
         assert out.coords == (0, 0, 1)
         assert out.coords[0] is _ZERO and out.coords[1] is _ZERO
+        # The formula products give the shared zero where a coordinate is 0.
+        for product, n in ((cross3, 3), (cross7, 7)):
+            out = product(Vector.unit(n, 1), Vector.unit(n, 2))
+            assert sorted(out.coords) == [0] * (n - 1) + [1]
+            assert all(c is _ZERO for c in out.coords if not c)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -585,7 +585,10 @@ class TestCheck:
             check(p, name)
         with pytest.raises(ValueError) as by_case:
             check_case(p, name, e1, e1, e1)
+        with pytest.raises(ValueError) as by_expectation:
+            expected_verdict(p, name)
         assert str(by_check.value) == str(by_case.value) == f"unknown axiom {name!r}"
+        assert str(by_expectation.value) == f"unknown axiom {name!r}"
 
     @pytest.mark.parametrize(
         "samples, seed",
