@@ -246,10 +246,6 @@ class RewriteTrace(NamedTuple):
     steps: Tuple[RewriteStep, ...]
     result: SignedBasis
 
-    @property
-    def final(self) -> Expr:
-        return self.steps[-1].after if self.steps else self.initial
-
     def replay(self) -> bool:
         """Check the trace as a derivation from the four rewrite rules: from
         ``(1, x × y)``, x and y canonical words, each step rewrites the

@@ -187,9 +187,6 @@ class Vector:
         c = _coerce_double(c)
         return Vector._of(tuple(c * a for a in self.coords), self.mode)
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
-
 
 def _check_pair(u: Vector, v: Vector, op: str) -> None:
     if u.mode != v.mode:

@@ -189,9 +189,15 @@ class TestCrossCommand:
         assert status == 0
         assert [float(t) for t in out.strip().split(",")] == [0.0, 0.0, 1.0]
 
-    @pytest.mark.parametrize("product", ["cross3", "det", "table", "padded"])
-    def test_float_zero_products_print_positive_zeros(self, capsys, product):
-        argv = ("--float", "cross", "--n", "3", "--u", "1,0,0", "--v", "1,0,0")
+    @pytest.mark.parametrize(
+        "product, u, v",
+        [pytest.param(p, "1,0,0", "1,0,0", id=p) for p in ("cross3", "det", "table", "padded")]
+        # The table product's one term underflows to -0.0; its cell's 0.0
+        # seed makes the sum +0.0.
+        + [pytest.param("table", "5e-324,0,0", "0,-0.5,0", id="table-underflow")],
+    )
+    def test_float_zero_products_print_positive_zeros(self, capsys, product, u, v):
+        argv = ("--float", "cross", "--n", "3", "--u", u, "--v", v)
         assert run(capsys, *argv, "--product", product) == (0, "0.0,0.0,0.0\n")
 
     def test_float_mode_rejects_non_finite_input(self, capsys):
@@ -749,6 +755,10 @@ _U31 = ",".join(f"{(-1) ** i * i}/{i + 4}" for i in range(1, 32))
 _V31 = ",".join(f"{32 - i}/{2 * i + 3}" for i in range(1, 32))
 _FLOAT_U31 = ",".join(str((-1) ** i * i / 8) for i in range(1, 32))
 _FLOAT_V31 = ",".join(str((32 - i) / 10) for i in range(1, 32))
+# Sparse level-7 operands, three nonzeros a side, negative ones included:
+# each cell of the product gets one term.
+_SPARSE_U255 = ",".join({3: "1", 10: "1/2", 200: "-1"}.get(i, "0") for i in range(1, 256))
+_SPARSE_V255 = ",".join({6: "-1", 17: "1", 129: "-1/2"}.get(i, "0") for i in range(1, 256))
 
 GOLDEN_DIGESTS = {
     ("verify", "--product", "cross7", "--samples", "20"):
@@ -814,6 +824,26 @@ GOLDEN_DIGESTS = {
     ("--float", "cross", "--product", "table", "--n", "31",
      "--u=" + _FLOAT_U31, "--v=" + _FLOAT_V31):
         "0e7fe7d8ce5252db516e4f2cba5b286cf7e8ac165bad764dd67b645c46cc3793",
+    ("table", "--k", "10", "--format", "md"):
+        "e09322eb19b0e74c8aa05179844cb8172bac2f143dd0527ea4a088fac5fb45df",
+    ("table", "--k", "10", "--format", "csv"):
+        "043ce6f6a9069eda59d504eb3ff4b5e1eadee110820c8e853cda61c01748c65d",
+    ("table", "--k", "10", "--format", "json"):
+        "40ed3490f8c710d7ab4981656bb0ebf4605340f4d67e1adb99bd416d0f89712a",
+    ("cross", "--product", "table", "--n", "255", "--u", _SPARSE_U255, "--v", _SPARSE_V255):
+        "cea75a17b6c858e54a99546bf3368b3b8a9a912ad92e27f10df9823a4fba51af",
+    ("verify", "--product", "table", "--k", "5",
+     "--axioms", "perpendicular,identities", "--samples", "1"):
+        "4b03823dedcdfe94bdaac93966e3d4d16e666b457a121975bba2b5e1a1d75778",
+    # verify at its default sample count.
+    ("verify", "--product", "cross3"):
+        "2cb7ce9c2f8f1c0a989cfb88702ba5b366c57c3bb38ae1d6bc2d41421f3b2018",
+    ("verify", "--product", "cross7"):
+        "9d49e25c9c1a88f997aee4c42eaa3658f300ee240a4f2f0b59db9300a7fb700a",
+    ("verify", "--product", "padded", "--n", "4"):
+        "c17adb62cd5f00aba57d0d11976aa3cb1c6c2ed8d1ceb7f5ffcdc469a99647be",
+    ("verify", "--product", "table", "--k", "1"):
+        "51b7a268b2de17fb358c43faa9be37901ee1680c87daf2ca53dc63dd8c20e281",
 }
 
 # An id is the argv's first four words, or all of them once those are taken.

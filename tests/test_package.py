@@ -12,8 +12,11 @@ Core claims:
       ``cli`` serves no other ``vecalg`` name
     - ``symbolic`` imports no other ``crossn`` module: building a table and
       reading it back from JSON loads neither ``fractions`` nor ``decimal``
+    - every absolute import in the package, lazy ones inside functions
+      included, names a standard-library module
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -101,3 +104,20 @@ def test_cli_serves_table_product_alone_from_vecalg():
 
 def test_symbolic_loads_no_other_crossn_module():
     assert _run("-S", "-W", "error", "-c", SYMBOLIC_ALONE) == "['crossn.symbolic']\n"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # Read, not run: an import inside a function counts although no test may
+    # reach its branch.  Imports within the package are relative.
+    outside = []
+    for path in sorted(Path(crossn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not outside, outside

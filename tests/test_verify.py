@@ -106,6 +106,18 @@ class TestPerpendicular:
         assert report.witness.lhs == 1  # u . p(u, v) = e1 . e1
         assert replay(report, p)
 
+    def test_product_perpendicular_to_u_only_refuted_on_the_v_side(self):
+        # p(u, v) = v1 (e3 x u) is perpendicular to u, not to v.
+        e3 = Vector.unit(3, 3)
+        p = ProductUnderTest("v-side", 3, lambda u, v: cross3(e3, u).scaled(v.coords[0]))
+        report = check(p, "perpendicular", samples=5)
+        assert report.refuted
+        assert report.samples_run == 4
+        assert report.witness.u == Vector.unit(3, 2)
+        assert report.witness.v == Vector.unit(3, 1)
+        assert (report.witness.lhs, report.witness.rhs) == (0, -1)
+        assert replay(report, p)
+
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError, match="^samples must be >= 1$"):
             check_perpendicular(cross3_product(), samples=0)
@@ -181,7 +193,7 @@ class TestBilinear:
         zero4 = tuple(Fraction(0) for _ in range(4))
         u = Vector.exact([1, 2, 3])
         left, right, expansion = _bilinear_operands(p.evaluate, zero4, u, u, u, u)
-        assert p.evaluate(left, right).is_zero() and expansion.is_zero()
+        assert not any(p.evaluate(left, right).coords) and not any(expansion.coords)
         assert _bilinear(p.evaluate, left, right, expansion) is None
 
     def test_nonlinear_product_refuted_and_replays(self):
