@@ -33,11 +33,10 @@ MAX_DET_DIM = 12
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
-# Exact ``scaled``, ``+``, ``-`` and ``table_product`` give this one value to
-# every coordinate that no nonzero term reaches; where terms cancel, or the
-# scale factor is 0, the zero is a fresh Fraction.  Exact ``cross3`` and
-# ``cross7`` give it to every zero coordinate, and ``zero_scalar`` returns
-# it, so ``unit`` and ``padded_cross`` pad with it too.
+# Every zero coordinate of an exact ``+``, ``-``, ``scaled``, ``cross3``,
+# ``cross7`` or ``padded_cross`` result is this one value, as are the zeros of
+# ``unit`` and ``zero_scalar``.  ``table_product`` gives it to every cell that
+# no term reaches; where its terms cancel, the zero is a fresh Fraction.
 _ZERO = Fraction(0)
 
 
@@ -95,10 +94,12 @@ class Vector:
     coordinates from 1 (so ``unit(n, 1)`` is e1).
     """
 
-    # Kept values, each set on first use and ignored by equality, hashing,
-    # repr and copies: ``_ints`` by ``_cleared`` (exact sums, scaling, dot,
-    # cross3, cross7), ``_terms`` by ``_terms`` (table_product).
-    __slots__ = ("coords", "mode", "_ints", "_terms")
+    # An exact vector has ``_coords``, its reduced integers ``_ints`` (which
+    # exact ``==``, ``hash`` and arithmetic read), or both: each is made from
+    # the other on first use and kept; ``_coords`` is None until then.
+    # ``_terms`` is kept by ``_terms`` (table_product).  Copies keep only the
+    # coordinates.
+    __slots__ = ("_coords", "mode", "_ints", "_terms")
 
     def __init__(self, values: Iterable, mode: str = EXACT):
         _check_mode(mode)
@@ -106,7 +107,7 @@ class Vector:
         coords = tuple(coerce(v) for v in values)
         if not coords:
             raise ValueError("a vector needs at least one coordinate")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):
@@ -125,9 +126,28 @@ class Vector:
         ``mode``'s scalar type; nothing is checked or coerced.
         """
         v = object.__new__(cls)
-        object.__setattr__(v, "coords", coords)
+        object.__setattr__(v, "_coords", coords)
         object.__setattr__(v, "mode", mode)
         return v
+
+    @classmethod
+    def _of_ints(cls, xs: tuple, d: int) -> "Vector":
+        """Trusted exact result ``xs / d``, reduced so that gcd(d, *xs) == 1;
+        its coordinates are made on first read."""
+        g = math.gcd(d, *xs)
+        if g != 1:
+            xs, d = tuple(x // g for x in xs), d // g
+        v = cls._of(None, EXACT)
+        object.__setattr__(v, "_ints", (xs, d))
+        return v
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            xs, d = self._ints
+            coords = tuple(Fraction(x, d) if x else _ZERO for x in xs)
+            object.__setattr__(self, "_coords", coords)
+        return self._coords
 
     @classmethod
     def exact(cls, values: Iterable) -> "Vector":
@@ -149,15 +169,20 @@ class Vector:
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        coords = self._coords
+        return len(self._ints[0] if coords is None else coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.mode == other.mode and self.coords == other.coords
+        if self.mode != other.mode:
+            return False
+        if self.mode == EXACT:
+            return _cleared(self) == _cleared(other)
+        return self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash((self.mode, self.coords))
+        return hash((self.mode, _cleared(self) if self.mode == EXACT else self.coords))
 
     def __repr__(self) -> str:
         return f"Vector([{', '.join(str(c) for c in self.coords)}], mode={self.mode!r})"
@@ -169,6 +194,9 @@ class Vector:
         return _sum(operator.sub, "-", self, other)
 
     def __neg__(self) -> "Vector":
+        if self.mode == EXACT:
+            xs, d = _cleared(self)
+            return Vector._of_ints(tuple(map(operator.neg, xs)), d)
         return Vector._of(tuple(-a for a in self.coords), self.mode)
 
     def scaled(self, c: Scalar) -> "Vector":
@@ -178,10 +206,7 @@ class Vector:
                 raise ValueError("cannot scale an exact vector by a float")
             c = _coerce_exact(c)
             xs, d = _cleared(self)
-            p, q = c.numerator, c.denominator * d
-            return Vector._of(
-                tuple(Fraction(p * x, q) if x else _ZERO for x in xs), EXACT
-            )
+            return Vector._of_ints(tuple(map(c.numerator.__mul__, xs)), c.denominator * d)
         if isinstance(c, Fraction):
             raise ValueError("cannot scale a double vector by a Fraction")
         c = _coerce_double(c)
@@ -218,8 +243,9 @@ def format_vector(v: Vector) -> str:
 def _cleared(v: Vector) -> Tuple[Tuple[int, ...], int]:
     """An exact vector's integer numerators over the lcm of its denominators.
 
-    Computed once per vector and kept on it; vectors are immutable, so the
-    kept value cannot go stale.
+    Since each coordinate is in lowest terms, gcd(d, *numerators) == 1, so
+    equal vectors clear to equal integers.  Computed once per vector and kept
+    on it; vectors are immutable, so the kept value cannot go stale.
     """
     try:
         return v._ints
@@ -250,20 +276,15 @@ def _terms(v: Vector) -> Tuple[Tuple[int, Scalar], ...]:
 
 def _sum(op, name: str, u: Vector, v: Vector) -> Vector:
     """``op`` (add or sub) of two vectors; exact mode works on their cleared
-    integers, with one Fraction per nonzero coordinate."""
+    integers, over the lcm of their denominators."""
     _check_pair(u, v, name)
     if u.mode == DOUBLE:
         return Vector._of(tuple(map(op, u.coords, v.coords)), DOUBLE)
     xs, dx = _cleared(u)
     ys, dy = _cleared(v)
-    d = dx * dy
-    return Vector._of(
-        tuple(
-            Fraction(op(x * dy, y * dx), d) if x or y else _ZERO
-            for x, y in zip(xs, ys)
-        ),
-        EXACT,
-    )
+    g = math.gcd(dx, dy)
+    xs, ys = map((dy // g).__mul__, xs), map((dx // g).__mul__, ys)
+    return Vector._of_ints(tuple(map(op, xs, ys)), dx // g * dy)
 
 
 def dot(u: Vector, v: Vector) -> Scalar:
@@ -284,19 +305,19 @@ def dot(u: Vector, v: Vector) -> Scalar:
 def _bilinear(formula, name: str, dim: int, u: Vector, v: Vector) -> Vector:
     """Apply ``name``'s coordinate formula, linear in each argument, on R^dim.
 
-    Double mode evaluates it on the float coordinates.  Exact mode evaluates
-    it on the cleared integer numerators and divides each nonzero output
-    coordinate once by the product of the two denominators.
+    Double mode evaluates it on the float coordinates and adds each output
+    coordinate to a 0.0 seed, as ``table_product`` does, so a zero is never
+    -0.0.  Exact mode evaluates it on the cleared integer numerators, over
+    the product of the two denominators.
     """
     _check_pair(u, v, name)
     if u.dim != dim:
         raise ValueError(f"{name} needs {dim}-dimensional vectors, got dim {u.dim}")
     if u.mode == DOUBLE:
-        return Vector._of(formula(u.coords, v.coords), DOUBLE)
+        return Vector._of(tuple(0.0 + t for t in formula(u.coords, v.coords)), DOUBLE)
     xs, dx = _cleared(u)
     ys, dy = _cleared(v)
-    d = dx * dy
-    return Vector._of(tuple(Fraction(t, d) if t else _ZERO for t in formula(xs, ys)), EXACT)
+    return Vector._of_ints(formula(xs, ys), dx * dy)
 
 
 def _cross3(x: Sequence, y: Sequence) -> tuple:
@@ -342,8 +363,9 @@ def padded_cross(u: Vector, v: Vector) -> Vector:
     _check_pair(u, v, "padded_cross")
     if u.dim < 3:
         raise ValueError(f"padded_cross needs dim >= 3, got {u.dim}")
-    head = cross3(Vector._of(u.coords[:3], u.mode), Vector._of(v.coords[:3], v.mode))
-    return Vector._of(head.coords + (zero_scalar(u.mode),) * (u.dim - 3), u.mode)
+    # An int 0 pads: exact mode keeps it, double mode's 0.0 seed makes it 0.0.
+    padding = (0,) * (u.dim - 3)
+    return _bilinear(lambda x, y: _cross3(x[:3], y[:3]) + padding, "padded_cross", u.dim, u, v)
 
 
 def det_product(rows: Sequence[Vector]) -> Vector:

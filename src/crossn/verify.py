@@ -28,7 +28,7 @@ from functools import partial
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from . import symbolic
-from .vecalg import Scalar, Vector, dot, cross3, cross7, padded_cross, table_product
+from .vecalg import EXACT, Scalar, Vector, dot, cross3, cross7, padded_cross, table_product
 from .vecalg import _cleared
 
 HOLDS = "holds-on-all-samples"
@@ -45,6 +45,11 @@ CLASSIFY_SAMPLES = 1000
 
 NUMERATOR_RANGE = (-9, 9)
 DENOMINATORS = (1, 2, 3)
+# Every value the sampler can draw, made once: (numerator, denominator) -> Fraction.
+_RATIONALS = {
+    (p, q): Fraction(p, q)
+    for p in range(NUMERATOR_RANGE[0], NUMERATOR_RANGE[1] + 1) for q in DENOMINATORS
+}
 
 # Ordered basis pairs are exhausted before random sampling up to this
 # dimension; beyond it the quadratic pair count stops being cheap.
@@ -169,11 +174,11 @@ def _witness_json(w: Optional[Witness]):
 
 def random_rational(rng: random.Random) -> Fraction:
     lo, hi = NUMERATOR_RANGE
-    return Fraction(rng.randint(lo, hi), rng.choice(DENOMINATORS))
+    return _RATIONALS[rng.randint(lo, hi), rng.choice(DENOMINATORS)]
 
 
 def random_vector(rng: random.Random, n: int) -> Vector:
-    return Vector([random_rational(rng) for _ in range(n)])
+    return Vector._of(tuple(random_rational(rng) for _ in range(n)), EXACT)
 
 
 def _memoised(product: ProductUnderTest) -> ProductUnderTest:

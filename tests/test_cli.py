@@ -192,13 +192,22 @@ class TestCrossCommand:
     @pytest.mark.parametrize(
         "product, u, v",
         [pytest.param(p, "1,0,0", "1,0,0", id=p) for p in ("cross3", "det", "table", "padded")]
-        # The table product's one term underflows to -0.0; its cell's 0.0
-        # seed makes the sum +0.0.
-        + [pytest.param("table", "5e-324,0,0", "0,-0.5,0", id="table-underflow")],
+        # e1 x e2's one term underflows to -0.0; every product adds each
+        # coordinate to a 0.0 seed, which makes it +0.0.
+        + [
+            pytest.param(p, "5e-324,0,0", "0,-0.5,0", id=f"{p}-underflow")
+            for p in ("table", "cross3", "padded", "det")
+        ]
+        + [
+            pytest.param("padded", "5e-324,0,0,0", "0,-0.5,0,0", id="padded-n4-underflow"),
+            # (-0.5 * 0.0) terms sum to -0.0 in cross7's second coordinate.
+            pytest.param("cross7", "0,0,-0.5,-0.5,-0.5,0,0", "0,0,0,0,0,0,0", id="cross7"),
+        ],
     )
     def test_float_zero_products_print_positive_zeros(self, capsys, product, u, v):
-        argv = ("--float", "cross", "--n", "3", "--u", u, "--v", v)
-        assert run(capsys, *argv, "--product", product) == (0, "0.0,0.0,0.0\n")
+        n = u.count(",") + 1
+        argv = ("--float", "cross", "--n", str(n), "--u", u, "--v", v)
+        assert run(capsys, *argv, "--product", product) == (0, ",".join(["0.0"] * n) + "\n")
 
     def test_float_mode_rejects_non_finite_input(self, capsys):
         assert (
@@ -844,13 +853,31 @@ GOLDEN_DIGESTS = {
         "c17adb62cd5f00aba57d0d11976aa3cb1c6c2ed8d1ceb7f5ffcdc469a99647be",
     ("verify", "--product", "table", "--k", "1"):
         "51b7a268b2de17fb358c43faa9be37901ee1680c87daf2ca53dc63dd8c20e281",
+    ("verify", "--product", "padded", "--n", "8"):
+        "cef50f491338aeb59e895e4f5b58b09cfbe33a191d3db7247c76ee89aaa9747a",
+    ("verify", "--product", "table", "--k", "2"):
+        "28a5b8261a4f278a2a24b8754ec8ccf5e8638aa92292d6a2dcd77688410edad7",
+    # verify as the benchmark's commands workload runs it in process
+    # (--samples 50), at one fixed seed.
+    ("verify", "--product", "padded", "--n", "8", "--samples", "50", "--seed", "12345"):
+        "630714c0ba7c0aada57ba9cbf7680f4af293a0fca694a8337272e77a3a54cfce",
+    ("verify", "--product", "table", "--k", "3", "--samples", "50", "--seed", "12345"):
+        "09ff69c1a4d03788fa8942d5759ad818fcdb6aaba6159b44faa2e613b42ca154",
 }
 
 # An id is the argv's first four words, or all of them once those are taken.
+# In one longer than 80 characters, a short sha256 of the whole argv stands
+# for the vector operands (the words with a comma).
 DIGEST_IDS = []
 for _argv in GOLDEN_DIGESTS:
-    _short = "-".join(_argv[:4])
-    DIGEST_IDS.append("-".join(_argv) if _short in DIGEST_IDS else _short)
+    _id = "-".join(_argv[:4])
+    if _id in DIGEST_IDS:
+        _id = "-".join(_argv)
+    if len(_id) > 80:
+        _sha = hashlib.sha256(" ".join(_argv).encode()).hexdigest()[:10]
+        _id = "-".join([w for w in _argv if "," not in w] + [_sha])
+    DIGEST_IDS.append(_id)
+assert len(set(DIGEST_IDS)) == len(DIGEST_IDS)
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=DIGEST_IDS)

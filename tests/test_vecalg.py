@@ -25,6 +25,12 @@ Core claims:
       cleared, repeated and all-zero operands; kept values change no
       equality, hash, repr or copy
     - pickle, copy and deepcopy of a vector re-run the constructor's checks
+    - exact +, -, unary -, scaled, cross3, cross7 and padded_cross keep only
+      reduced integers over one denominator until a coordinate is read; the
+      result equals and hashes like the vector of its coordinates, which are
+      made once, and round-trips through copy and pickle
+    - the verifier's sampler draws the same vectors, with the same generator
+      calls, as building each coordinate as a new Fraction
 """
 
 import copy
@@ -41,6 +47,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossn.symbolic import build_table
+from crossn.verify import random_vector
 from crossn.vecalg import (
     DOUBLE,
     EXACT,
@@ -166,10 +173,11 @@ class TestVectorBasics:
         for v in (exact, double):
             _terms(v)
             for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+                # Kept values are not copied; the copy computes its own (exact
+                # == reads the cleared integers, so this comes first).
+                assert not hasattr(twin, "_ints") and not hasattr(twin, "_terms")
                 assert type(twin) is Vector and twin == v and repr(twin) == repr(v)
                 assert [repr(c) for c in twin.coords] == [repr(c) for c in v.coords]
-                # Kept values are not copied; the copy computes its own.
-                assert not hasattr(twin, "_ints") and not hasattr(twin, "_terms")
 
     def test_copies_rerun_the_checks(self):
         bad = Vector._of((0.5,), EXACT)  # made past the checks
@@ -601,7 +609,8 @@ class TestIntegerKernels:
         out = product(Vector.double(x), Vector.double(y))
         assert out.mode == DOUBLE
         assert all(type(c) is float for c in out.coords)
-        assert _bits(out.coords) == _bits(reference(x, y))
+        # Each coordinate is added to a 0.0 seed, so a zero is never -0.0.
+        assert _bits(out.coords) == _bits(0.0 + t for t in reference(x, y))
 
     def test_results_keep_the_scalar_type(self):
         for mode, scalar in (("exact", Fraction), (DOUBLE, float)):
@@ -719,6 +728,10 @@ class TestIntegerKernels:
             out = product(Vector.unit(n, 1), Vector.unit(n, 2))
             assert sorted(out.coords) == [0] * (n - 1) + [1]
             assert all(c is _ZERO for c in out.coords if not c)
+        # So do a 0 factor and terms that cancel.
+        w = Vector([Fraction(1, 2), 3, 0])
+        for out in (w.scaled(0), w - w):
+            assert out.coords == (0, 0, 0) and all(c is _ZERO for c in out.coords)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -753,3 +766,58 @@ class TestIntegerKernels:
         for kept, coords in ((u, x), (v, y), (z, zeros)):
             twin = Vector(coords, mode)
             assert kept == twin and hash(kept) == hash(twin) and repr(kept) == repr(twin)
+
+
+# (operation on u, v and a factor c, dimensions to draw): each builds its
+# exact result from cleared integers.
+INTEGER_OPS = {
+    "add": (lambda u, v, c: u + v, (1, 3, 7, 16)),
+    "sub": (lambda u, v, c: u - v, (1, 3, 7, 16)),
+    "neg": (lambda u, v, c: -u, (1, 3, 7, 16)),
+    "scaled": (lambda u, v, c: u.scaled(c), (1, 3, 7, 16)),
+    "cross3": (lambda u, v, c: cross3(u, v), (3,)),
+    "cross7": (lambda u, v, c: cross7(u, v), (7,)),
+    "padded": (lambda u, v, c: padded_cross(u, v), (3, 4, 8, 15)),
+}
+
+
+class TestIntegerBuiltVectors:
+    @pytest.mark.parametrize("name", sorted(INTEGER_OPS))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_result_equals_the_vector_of_its_coordinates(self, name, data):
+        op, dims = INTEGER_OPS[name]
+        x, y = _draw_pair(data, dims, wide_rationals())
+        if data.draw(st.booleans(), label="same"):
+            y = x  # u - u, and cross3(u, u), cancel
+        c = data.draw(st.one_of(st.just(0), wide_rationals()), label="c")
+        out = op(Vector.exact(x), Vector.exact(y), c)
+        # No Fraction is made until a coordinate is read.
+        assert out._coords is None
+        xs, d = _cleared(out)
+        assert d >= 1 and math.gcd(d, *xs) == 1
+        coords = out.coords
+        assert out.coords is coords
+        assert all(type(t) is Fraction for t in coords)
+        assert all(t is _ZERO for t in coords if not t)
+        twin = Vector.exact(coords)
+        assert out == twin and twin == out and hash(out) == hash(twin)
+
+    def test_copies_of_integer_built_results_round_trip(self):
+        u, v = Vector.exact(["1/2", 0, -3]), Vector.exact([2, "1/3", "-5/6"])
+        for out in (u + v, u - u, -v, u.scaled(Fraction(2, 3)), cross3(u, v), padded_cross(u, v)):
+            for twin in (pickle.loads(pickle.dumps(out)), copy.copy(out), copy.deepcopy(out)):
+                assert type(twin) is Vector and twin.mode == EXACT
+                assert twin == out and hash(twin) == hash(out) and repr(twin) == repr(out)
+                assert twin.coords == out.coords
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**64), st.integers(1, 16))
+    def test_sampler_draws_what_fraction_construction_drew(self, seed, n):
+        rng, old = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = random_vector(rng, n)
+            want = Vector([Fraction(old.randint(-9, 9), old.choice((1, 2, 3))) for _ in range(n)])
+            assert got == want and got.coords == want.coords
+            assert all(type(t) is Fraction for t in got.coords)
+        assert rng.getstate() == old.getstate()
