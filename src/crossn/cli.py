@@ -13,7 +13,7 @@ import errno
 import os
 import stat
 import sys
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from . import symbolic
 
@@ -104,14 +104,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_table(args, parser) -> Tuple[str, int]:
+# Each cmd_* returns its output as chunks of text, written in order before a
+# final newline, and its exit status.  Every command but table returns one
+# chunk; table's chunks are its rows, made as they are written.
+Output = Tuple[Iterable[str], int]
+
+
+def cmd_table(args, parser) -> Output:
     if not 1 <= args.k <= symbolic.MAX_LEVEL:
         parser.error(f"--k must be in 1..{symbolic.MAX_LEVEL}")
-    serialise = getattr(symbolic, f"table_to_{FORMATS[args.format]}")
-    return serialise(symbolic.build_table(args.k)), 0
+    chunks = getattr(symbolic, f"{FORMATS[args.format]}_chunks")
+    return chunks(symbolic.build_table(args.k)), 0
 
 
-def cmd_cross(args, parser) -> Tuple[str, int]:
+def cmd_cross(args, parser) -> Output:
     from .vecalg import DOUBLE, EXACT, det_product, format_vector, parse_vector
 
     mode = DOUBLE if args.float else EXACT
@@ -128,8 +134,8 @@ def cmd_cross(args, parser) -> Tuple[str, int]:
                 "the determinant product takes n-1 vectors in dimension n; "
                 "with two inputs it is only defined for --n 3",
             )
-        return format_vector(det_product([u, v])), 0
-    return format_vector(_product(args.product, args.n, parser).evaluate(u, v)), 0
+        return [format_vector(det_product([u, v]))], 0
+    return [format_vector(_product(args.product, args.n, parser).evaluate(u, v))], 0
 
 
 def _product(name: str, n: int, parser) -> verify.ProductUnderTest:
@@ -191,7 +197,7 @@ def _parse_axioms(raw: str, parser) -> List[str]:
     return list(dict.fromkeys(tokens))
 
 
-def cmd_verify(args, parser) -> Tuple[str, int]:
+def cmd_verify(args, parser) -> Output:
     if args.float:
         parser.error("verification runs in exact mode only")
     if args.samples is not None and args.samples < 1:
@@ -212,7 +218,7 @@ def cmd_verify(args, parser) -> Tuple[str, int]:
         found = getattr(verify, f"check_{axiom}")(product, **options)
         reports += found if axiom == "identities" else [found]
     text = json.dumps([r.to_json_dict() for r in reports], indent=2)
-    return text, int(any(r.unexpected for r in reports))
+    return [text], int(any(r.unexpected for r in reports))
 
 
 def _support_str(v: Vector) -> str:
@@ -230,7 +236,7 @@ def _support_str(v: Vector) -> str:
     return "".join(parts) if parts else "0"
 
 
-def cmd_counterexample(args, parser) -> Tuple[str, int]:
+def cmd_counterexample(args, parser) -> Output:
     if args.float:
         parser.error("the counterexample is computed in exact mode only")
     if args.k < 3:
@@ -263,12 +269,12 @@ def cmd_counterexample(args, parser) -> Tuple[str, int]:
     ]
     if witness is not None:
         lines.append(f"verdict: Pythagorean fails ({lhs} != {rhs})")
-        return "\n".join(lines), 0
+        return ["\n".join(lines)], 0
     lines.append("verdict: Pythagorean holds (unexpected)")
-    return "\n".join(lines), 1
+    return ["\n".join(lines)], 1
 
 
-def cmd_classify(args, parser) -> Tuple[str, int]:
+def cmd_classify(args, parser) -> Output:
     if args.float:
         parser.error("classification runs in exact mode only")
     if not 1 <= args.max_k <= symbolic.MAX_LEVEL:
@@ -291,7 +297,7 @@ def cmd_classify(args, parser) -> Tuple[str, int]:
         "a cross product exists only in dimensions 0, 1, 3 and 7; "
         "in dimensions 0 and 1 the zero map is a valid cross product"
     )
-    return "\n".join(lines), int(any(r.unexpected for r in reports))
+    return ["\n".join(lines)], int(any(r.unexpected for r in reports))
 
 
 def _check_output_path(path: str) -> None:
@@ -308,8 +314,15 @@ def _check_output_path(path: str) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
-def _write_output(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` so that a failed write leaves the old file.
+def _write_chunks(fh, chunks: Iterable[str]) -> None:
+    for chunk in chunks:
+        fh.write(chunk)
+    fh.write("\n")
+
+
+def _write_output(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks and a newline to ``path`` so that a failed write
+    leaves the old file.
 
     A regular file (or a new one) is written to a temporary file in the same
     directory and renamed onto the target, keeping an existing file's
@@ -322,7 +335,7 @@ def _write_output(path: str, text: str) -> None:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_chunks(fh, chunks)
         return
     target = os.path.realpath(path)
     if mode is None:
@@ -338,7 +351,7 @@ def _write_output(path: str, text: str) -> None:
     try:
         os.chmod(tmp, stat.S_IMODE(mode))
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_chunks(fh, chunks)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -362,14 +375,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 _check_output_path(args.output)
             except OSError as exc:
                 _fail_output(parser, args.output, exc)
-        text, status = globals()[f"cmd_{args.command}"](args, parser)
+        chunks, status = globals()[f"cmd_{args.command}"](args, parser)
         if args.output is not None:
             try:
-                _write_output(args.output, text + "\n")
+                _write_output(args.output, chunks)
             except OSError as exc:
                 _fail_output(parser, args.output, exc)
         else:
-            print(text)
+            _write_chunks(sys.stdout, chunks)
         return status
     finally:
         if limit:

@@ -27,7 +27,10 @@ for e_i x e_j = s(i, j) e_(i ^ j), and the index is implied, never stored.
 once per cell and reading the recursive sub-sign from the rows of the level
 below; ``SignedBasis`` cells exist only on demand (``entry``, ``cells``).
 The serialisers render rows from per-index texts: cell (i, j) picks the text
-of index i ^ j for its sign, along rows of texts permuted by ``_xor_rows``.
+of index i ^ j for its sign by one key, 4 * (i ^ j) plus a sign code, and
+``_text_rows`` makes row i's keys as one packed integer of 16-bit fields.
+Each writer yields its text a row at a time (``markdown_chunks``,
+``csv_chunks``, ``json_chunks``), so a caller can stream it.
 ``table_from_json`` checks row i as one packed integer of 16-bit fields, with
 |v| XOR column == i in every field.
 
@@ -49,8 +52,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import chain, islice
-from operator import getitem
+from operator import itemgetter
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 # Tables are O(n^2) cells with n = 2**(k+1) - 1; level 10 means n = 2047.
@@ -58,6 +60,9 @@ MAX_LEVEL = 10
 
 # Negates the bytes of a sign row: 1 and -1 (0xff) swap, 0 stays.
 _NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+
+# Sign codes of the text keys: 0 -> 0, 1 -> 1, -1 (0xff) -> 2, any other -> 3.
+_SIGN_CODES = bytes([0, 1] + [3] * 253 + [2])
 
 # Turns the high bytes of int16 cells into signs: 0x80 and above -> -1 (0xff).
 _HIGH_SIGN = bytes([1] * 128 + [0xFF] * 128)
@@ -467,53 +472,70 @@ def build_table(k: int) -> MulTable:
     return table
 
 
-def _xor_rows(items: Sequence) -> Iterator[list]:
-    """Yield row i = ``[items[i ^ j] for j in range(N)]`` for i = 1 .. N-1.
+def _text_rows(signs: Sequence[array], pos: str, neg: str) -> Iterator[tuple]:
+    """Yield the cell texts of rows 1..N-1 of the sign rows, columns 1..N-1.
 
-    N = len(items) is a power of two.  With i = hi * w + lo, block b of row
-    i is block hi ^ b of row lo, so the rows of the w low parts are cut into
-    blocks of width w once and every row is chained together from them.
+    N = len(signs) is a power of two, 4 <= N <= 16384.  Index m has the text
+    of key 4m + code: "0", ``pos.format(m)`` or ``neg.format(m)`` for sign
+    code 0, 1 or 2 (sign 0, 1 or -1), and None for code 3 (any other byte).
+    Cell (i, j) has key 4 * (i ^ j) + code, and row i's keys are one integer
+    of N 16-bit fields: 4j in field j, XORed with 4i in every field, ORed
+    with the sign codes, which ``_SIGN_CODES`` puts in each field's low byte.
+    Read back as ``array("H")``, the keys pick the row's texts in one C-level
+    call, so no Python code runs per cell.
     """
-    n = len(items)
-    w = 1 << (n.bit_length() // 2)
-    low = ([items[lo ^ j] for j in range(n)] for lo in range(w))
-    blocks = [[row[b : b + w] for b in range(0, n, w)] for row in low]
-    orders = [[hi ^ b for b in range(n // w)] for hi in range(n // w)]
+    n = len(signs)
+    texts = [t for m in range(n) for t in ("0", pos.format(m), neg.format(m), None)]
+    order = sys.byteorder
+    ones = int.from_bytes(array("H", [1]) * n, order)  # 1 in each field
+    columns = int.from_bytes(array("H", range(0, 4 * n, 4)), order)
+    codes = bytearray(2 * n)
+    low = int(order == "big")  # the offset of each field's low byte
     for i in range(1, n):
-        yield list(chain.from_iterable(map(blocks[i % w].__getitem__, orders[i // w])))
+        codes[low::2] = signs[i].tobytes().translate(_SIGN_CODES)
+        keys = columns ^ 4 * i * ones | int.from_bytes(codes, order)
+        yield itemgetter(*array("H", keys.to_bytes(2 * n, order))[1:])(texts)
 
 
-def _text_rows(table: MulTable, pos: str, neg: str) -> Iterator[Iterator[str]]:
-    """The cell texts of each row, columns 1..n: cell (i, j) picks by its sign
-    from ``("0", pos.format(m), neg.format(m))``, the triple of m = i ^ j."""
-    texts = [("0",) * 3] + [("0", pos.format(m), neg.format(m)) for m in range(1, table.n + 1)]
-    rows = zip(_xor_rows(texts), table.signs[1:])
-    return (islice(map(getitem, row, signs), 1, None) for row, signs in rows)
+def markdown_chunks(table: MulTable) -> Iterator[str]:
+    """Markdown rendering with rows and columns labelled e1..en, a line at a
+    time; every line after the header starts with its newline."""
+    n = table.n
+    yield "| × | " + " | ".join(f"e{j}" for j in range(1, n + 1)) + " |"
+    yield "\n| " + " | ".join("---" for _ in range(n + 1)) + " |"
+    for i, cells in enumerate(_text_rows(table.signs, "e{}", "−e{}"), start=1):
+        yield f"\n| e{i} | {' | '.join(cells)} |"
+
+
+def csv_chunks(table: MulTable) -> Iterator[str]:
+    """Plain n x n grid of signed integers (sign * index, 0 for zero), a row
+    at a time; every row after the first starts with its newline."""
+    for i, cells in enumerate(_text_rows(table.signs, "{}", "-{}")):
+        yield ("\n" if i else "") + ",".join(cells)
+
+
+def json_chunks(table: MulTable) -> Iterator[str]:
+    """``{"k": .., "n": .., "cells": [[..], ..]}``, as ``json.dumps`` writes
+    it, a row of cells at a time; no cell integer is made."""
+    yield f'{{"k": {table.k}, "n": {table.n}, "cells": ['
+    for i, cells in enumerate(_text_rows(table.signs, "{}", "-{}")):
+        yield (", [" if i else "[") + ", ".join(cells) + "]"
+    yield "]}"
 
 
 def table_to_markdown(table: MulTable) -> str:
-    """Markdown rendering with rows and columns labelled e1..en."""
-    n = table.n
-    header = "| × | " + " | ".join(f"e{j}" for j in range(1, n + 1)) + " |"
-    rule = "| " + " | ".join("---" for _ in range(n + 1)) + " |"
-    lines = [header, rule]
-    for i, cells in enumerate(_text_rows(table, "e{}", "−e{}"), start=1):
-        lines.append(f"| e{i} | {' | '.join(cells)} |")
-    return "\n".join(lines)
+    """``markdown_chunks``, joined."""
+    return "".join(markdown_chunks(table))
 
 
 def table_to_csv(table: MulTable) -> str:
-    """Plain n x n grid of signed integers (sign * index, 0 for zero)."""
-    return "\n".join(map(",".join, _text_rows(table, "{}", "-{}")))
+    """``csv_chunks``, joined."""
+    return "".join(csv_chunks(table))
 
 
 def table_to_json(table: MulTable) -> str:
-    """``{"k": .., "n": .., "cells": [[..], ..]}``, as ``json.dumps`` writes it.
-
-    Rows are rendered from per-index texts, as in CSV; no cell integer is made.
-    """
-    rows = ", ".join("[" + ", ".join(cells) + "]" for cells in _text_rows(table, "{}", "-{}"))
-    return f'{{"k": {table.k}, "n": {table.n}, "cells": [{rows}]}}'
+    """``json_chunks``, joined."""
+    return "".join(json_chunks(table))
 
 
 def table_from_json(text: str) -> MulTable:

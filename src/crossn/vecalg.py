@@ -34,8 +34,8 @@ MAX_DET_DIM = 12
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
 # Every zero coordinate of an exact ``+``, ``-``, ``scaled``, ``cross3``,
-# ``cross7`` or ``padded_cross`` result is this one value, as are the zeros of
-# ``unit`` and ``zero_scalar``.  ``table_product`` gives it to every cell that
+# ``cross7``, ``padded_cross`` or ``det_product`` result is this one value,
+# as are the zeros of ``unit`` and ``zero_scalar``.  ``table_product`` gives it to every cell that
 # no term reaches; where its terms cancel, the zero is a fresh Fraction.
 _ZERO = Fraction(0)
 
@@ -375,7 +375,9 @@ def det_product(rows: Sequence[Vector]) -> Vector:
     (-1)**(1+m) times the minor with column m deleted.  The result is
     perpendicular to every input row (a determinant with a repeated row
     vanishes).  Minors are evaluated by recursive cofactor expansion with
-    shared sub-minors, exact in rational mode.
+    shared sub-minors.  Exact mode expands the rows' cleared integers, over
+    the product of their denominators, since the determinant is linear in
+    each row.
     """
     rows = list(rows)
     if not rows:
@@ -391,14 +393,18 @@ def det_product(rows: Sequence[Vector]) -> Vector:
     if n > MAX_DET_DIM:
         raise ValueError(f"det_product supports dim <= {MAX_DET_DIM}, got {n}")
 
-    grid = [r.coords for r in rows]
+    if mode == EXACT:
+        cleared = [_cleared(r) for r in rows]
+        grid, one, zero = [xs for xs, _ in cleared], 1, 0
+    else:
+        grid, one, zero = [r.coords for r in rows], 1.0, 0.0
 
     @lru_cache(maxsize=None)
-    def minor_det(r: int, cols: tuple) -> Scalar:
+    def minor_det(r: int, cols: tuple):
         # Determinant of grid rows r.. restricted to the given columns.
         if not cols:
-            return Fraction(1) if mode == EXACT else 1.0
-        total = zero_scalar(mode)
+            return one
+        total = zero
         row = grid[r]
         for t, c in enumerate(cols):
             a = row[c]
@@ -414,8 +420,10 @@ def det_product(rows: Sequence[Vector]) -> Vector:
         cols = all_cols[:m] + all_cols[m + 1 :]
         value = minor_det(0, cols)
         # Subtracting from zero, not negating, keeps a double 0.0 minor +0.0.
-        out.append(value if m % 2 == 0 else zero_scalar(mode) - value)
-    return Vector(out, mode)
+        out.append(value if m % 2 == 0 else zero - value)
+    if mode == EXACT:
+        return Vector._of_ints(tuple(out), math.prod(d for _, d in cleared))
+    return Vector._of(tuple(out), DOUBLE)
 
 
 def table_product(table, u: Vector, v: Vector) -> Vector:

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface.
 
 Core claims:
-    - table rendering matches the golden markdown/CSV/JSON formats
+    - table rendering matches the golden markdown/CSV/JSON formats; the
+      table command makes its rows as it writes them, and stdout and an
+      --output file each hold the writer's whole text and a newline
     - cross evaluates every product family, in exact and float mode, and
       prints a float zero product as 0.0 in every coordinate
     - verify emits the documented JSON reports and exits 0 when verdicts
@@ -31,9 +33,9 @@ from pathlib import Path
 
 import pytest
 
-from crossn import cli, verify
+from crossn import cli, symbolic, verify
 from crossn.cli import main
-from crossn.symbolic import build_table, table_from_json, table_to_markdown
+from crossn.symbolic import build_table, table_from_json, table_to_csv, table_to_markdown
 from crossn.vecalg import Vector, cross3
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,6 +85,26 @@ class TestTableCommand:
 
     def test_bad_format(self, capsys):
         assert run_usage_error(capsys, "table", "--k", "1", "--format", "html") == 2
+
+    @pytest.mark.parametrize("fmt", sorted(cli.FORMATS))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_stdout_and_output_file_are_the_joined_text(self, capsys, tmp_path, k, fmt):
+        table = build_table(k)
+        expected = getattr(symbolic, f"table_to_{cli.FORMATS[fmt]}")(table) + "\n"
+        assert run(capsys, "table", "--k", str(k), "--format", fmt) == (0, expected)
+        target = tmp_path / "table.txt"
+        argv = ("--output", str(target), "table", "--k", str(k), "--format", fmt)
+        assert run(capsys, *argv) == (0, "")
+        assert target.read_bytes().decode("utf-8") == expected
+
+    def test_rows_are_made_as_they_are_written(self):
+        args = cli.build_parser().parse_args(["table", "--k", "3", "--format", "csv"])
+        chunks, status = cli.cmd_table(args, None)
+        assert status == 0 and not isinstance(chunks, str)
+        assert iter(chunks) is chunks  # an iterator, not a text made up front
+        rows = table_to_csv(build_table(3)).split("\n")
+        assert next(chunks) == rows[0]
+        assert list(chunks) == ["\n" + row for row in rows[1:]]
 
 
 # == cross ===================================================================

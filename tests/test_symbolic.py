@@ -39,9 +39,10 @@ Core claims:
       sum through normalize_product, bit for bit in double mode
     - the sign rows at every level 1..10 hash to pinned SHA-256 digests, and
       so do their markdown, CSV and JSON texts
-    - the XOR-row kernel behind the serializers yields the rows of the naive
-      per-row comprehension, for every power of two up to 4096 and on drawn
-      item lists
+    - the XOR-row kernel behind the serializers, which picks each row's texts
+      by one packed key integer, yields the texts of a per-cell reference:
+      on random sign rows 4 to 4096 wide, on each writer's texts at levels
+      1..6, and on tables with cells redrawn as -1, 0 or 1 anywhere
     - lower-level tables sit exactly in the top-left block of higher ones
     - MulTable.validate, the one closure check, rejects a tampered copy
       through each of its branches, and rows that are not array("b")
@@ -99,7 +100,7 @@ from crossn.symbolic import (
     table_to_markdown,
     tree_str,
     _double,
-    _xor_rows,
+    _text_rows,
     _norm_indices,
     _rewrites,
     _word_index,
@@ -1155,10 +1156,23 @@ SERIALISER_DIGESTS = {
 }
 
 
-def naive_xor_rows(items):
-    """The reference path for ``_xor_rows``: one comprehension per row."""
-    n = len(items)
-    return ([items[i ^ j] for j in range(n)] for i in range(1, n))
+def naive_text_rows(signs, pos, neg):
+    """The reference path for ``_text_rows``: cell (i, j) with sign s is
+    ``("0", pos, neg)[s]``, formatted with m = i ^ j, so -1 picks neg."""
+    n = len(signs)
+    triples = [("0", pos.format(m), neg.format(m)) for m in range(n)]
+    return ([triples[i ^ j][s] for j, s in enumerate(signs[i]) if j] for i in range(1, n))
+
+
+# Each writer's texts for a positive and a negative cell.
+WRITER_FORMATS = {"md": ("e{}", "−e{}"), "csv": ("{}", "-{}"), "json": ("{}", "-{}")}
+
+
+def assert_text_rows_match(signs, pos, neg):
+    # One row at a time; a missing or extra row meets the fill value None.
+    rows = zip_longest(_text_rows(signs, pos, neg), naive_text_rows(signs, pos, neg))
+    for fast, naive in rows:
+        assert type(fast) is tuple and list(fast) == naive
 
 
 class TestByteKernels:
@@ -1196,18 +1210,32 @@ class TestByteKernels:
         digests = tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts)
         assert digests == SERIALISER_DIGESTS[k]
 
-    @pytest.mark.parametrize("p", range(13))
+    @pytest.mark.parametrize("p", range(2, 13))
     def test_xor_rows_matches_naive_rows(self, p):
-        # Every power of two from 1 to 4096, compared one row at a time; a
-        # missing or extra row meets the fill value None and fails.
-        items = [f"t{m}" for m in range(1 << p)]
-        rows = zip_longest(_xor_rows(items), naive_xor_rows(items))
-        assert all(fast == naive for fast, naive in rows)
+        # The row kernel on rows 4 to 4096 wide, with seeded random signs.
+        rng = random.Random(p)
+        spread = bytes([0, 1, 0xFF]) * 85 + b"\x00"  # random bytes to signs
+        signs = [array("b", rng.randbytes(1 << p).translate(spread)) for _ in range(1 << p)]
+        assert_text_rows_match(signs, "p{}", "n{}")
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 8).flatmap(lambda p: st.lists(st.integers(), min_size=1 << p, max_size=1 << p)))
-    def test_xor_rows_matches_naive_rows_on_drawn_items(self, items):
-        assert list(_xor_rows(items)) == list(naive_xor_rows(items))
+    @given(st.data())
+    def test_xor_rows_matches_naive_rows_on_drawn_items(self, data):
+        # Tables of levels 1..6 with cells redrawn as -1, 0 or 1 anywhere,
+        # the diagonal and row and column 0 included, which build_table never
+        # makes; the texts are each writer's.
+        table = cached_table(data.draw(st.integers(1, 6)))
+        rows = [array("b", r) for r in table.signs]
+        cell = st.integers(0, table.n)
+        for _ in range(data.draw(st.integers(1, 20))):
+            rows[data.draw(cell)][data.draw(cell)] = data.draw(st.sampled_from((-1, 0, 1)))
+        fmt = data.draw(st.sampled_from(sorted(WRITER_FORMATS)))
+        assert_text_rows_match(rows, *WRITER_FORMATS[fmt])
+
+    @pytest.mark.parametrize("fmt", sorted(WRITER_FORMATS))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_text_rows_match_per_cell_texts(self, k, fmt):
+        assert_text_rows_match(cached_table(k).signs, *WRITER_FORMATS[fmt])
 
 
 def reference_product(k, u, v):

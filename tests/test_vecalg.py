@@ -10,7 +10,9 @@ Core claims:
     - padded_cross embeds the 3D product and kills coordinates 4..n
     - det_product is the formal first-row cofactor expansion: perpendicular
       to every row, equal to cross3 for n = 3, zero on repeated rows, and
-      never -0.0 in double mode
+      never -0.0 in double mode; exact mode expands cleared integers and
+      equals a Fraction cofactor expansion for n = 2..5, its zeros the
+      shared zero and its coordinates made only when read
     - parsing/formatting of comma-separated rational literals round-trips,
       and literals take ASCII digits only, with no underscores
     - the integer kernels behind exact dot/cross3/cross7/padded_cross and
@@ -418,6 +420,42 @@ class TestDetProduct:
         out = det_product([Vector.exact([3, 4])])
         assert out == Vector.exact([4, -3])
         assert dot(out, Vector.exact([3, 4])) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.just(Fraction(0)), rationals()), min_size=n, max_size=n),
+        min_size=n - 1, max_size=n - 1,
+    )), st.booleans())
+    def test_exact_matches_fraction_cofactors(self, grid, repeat):
+        if repeat and len(grid) > 1:
+            grid[-1] = grid[0]  # a repeated row: every coordinate cancels
+        out = det_product([Vector.exact(row) for row in grid])
+        # Integer cofactors: no Fraction is made until a coordinate is read.
+        assert out._coords is None
+        xs, d = _cleared(out)
+        assert d >= 1 and math.gcd(d, *xs) == 1
+        assert out.coords == tuple(_ref_det_product(grid))
+        assert all(type(t) is Fraction for t in out.coords)
+        assert all(t is _ZERO for t in out.coords if not t)
+
+    def test_exact_zeros_are_the_shared_zero(self):
+        out = det_product([Vector.exact([1, 2, 3]), Vector.exact([2, 4, 6])])
+        assert all(t is _ZERO for t in out.coords)
+
+
+def _ref_det(grid):
+    """Laplace expansion along the first row, in Fractions."""
+    if not grid:
+        return Fraction(1)
+    return sum(
+        (-1) ** c * a * _ref_det([row[:c] + row[c + 1 :] for row in grid[1:]])
+        for c, a in enumerate(grid[0])
+    )
+
+
+def _ref_det_product(grid):
+    n = len(grid) + 1
+    return [(-1) ** m * _ref_det([row[:m] + row[m + 1 :] for row in grid]) for m in range(n)]
 
 
 # == bilinear table extension ================================================
