@@ -850,6 +850,18 @@ GOLDEN_DIGESTS = {
         "f036f59543087d318c901f81a621638637ec94771a8c0fb8a31bdff822ff19d9",
     ("counterexample", "--k", "10"):
         "540a5e936819e17453f2b4aba9b5b058341812668cf2cc298bb310662f89fd2a",
+    ("counterexample", "--k", "4"):
+        "958f7f22eaac508c0313ec6356a263aec47406ddcad29fba59464eddf490f939",
+    ("counterexample", "--k", "5"):
+        "e04b5aabfc750f34eb61faac8a05d2632192dd6470d0449bbece7f9d799fc7ec",
+    ("counterexample", "--k", "6"):
+        "57e564f3f121bee85be6ee57481b003c0277fc9c4affecc4720879dc1cba9acf",
+    ("counterexample", "--k", "7"):
+        "361ca5b69d6bfe8ce3434e9090609ecae6cc2fec544fa477ca4bd242066ccda8",
+    ("counterexample", "--k", "8"):
+        "975c23e806d8a426fcb1a5eeba7dc79e05cbe1f4aae93176c29fd67c200cbd9c",
+    ("counterexample", "--k", "9"):
+        "093364a6b0e413c08efdf7a65146d34d64185d0d2f8be1cb9f3865b64b902237",
     ("cross", "--product", "table", "--n", "31", "--u=" + _U31, "--v=" + _V31):
         "1ccd2fc7c73c34265f3a850a73d54ac7a5a1d131c26358cfcf6fe868d8c8faa7",
     ("--float", "cross", "--product", "table", "--n", "31",
@@ -879,6 +891,8 @@ GOLDEN_DIGESTS = {
         "cef50f491338aeb59e895e4f5b58b09cfbe33a191d3db7247c76ee89aaa9747a",
     ("verify", "--product", "table", "--k", "2"):
         "28a5b8261a4f278a2a24b8754ec8ccf5e8638aa92292d6a2dcd77688410edad7",
+    ("verify", "--product", "table", "--k", "3"):
+        "5ffe3bf73f083f0fa536daad3be47690436a3ce0860655be81cb2c46c6a67937",
     # verify as the benchmark's commands workload runs it in process
     # (--samples 50), at one fixed seed.
     ("verify", "--product", "padded", "--n", "8", "--samples", "50", "--seed", "12345"):
