@@ -33,10 +33,10 @@ MAX_DET_DIM = 12
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
-# Every zero coordinate of an exact ``+``, ``-``, ``scaled``, ``cross3``,
-# ``cross7``, ``padded_cross`` or ``det_product`` result is this one value,
-# as are the zeros of ``unit`` and ``zero_scalar``.  ``table_product`` gives it to every cell that
-# no term reaches; where its terms cancel, the zero is a fresh Fraction.
+# Every zero coordinate of an exact ``unit``, ``+``, ``-``, ``scaled``,
+# ``cross3``, ``cross7``, ``padded_cross`` or ``det_product`` result is this
+# one value.  ``table_product`` gives it to every cell that no term reaches;
+# where its terms cancel, the zero is a fresh Fraction.
 _ZERO = Fraction(0)
 
 
@@ -75,10 +75,6 @@ def _coerce_double(value) -> float:
             raise ValueError(f"double mode expects a finite literal, got {value!r}")
         return number
     raise ValueError(f"cannot use {value!r} as a double coordinate")
-
-
-def zero_scalar(mode: str) -> Scalar:
-    return _ZERO if mode == EXACT else 0.0
 
 
 def _check_mode(mode: str) -> None:
@@ -163,9 +159,11 @@ class Vector:
         _check_mode(mode)
         if type(dim) is not int or type(i) is not int or not 1 <= i <= dim:
             raise ValueError(f"unit index {i!r} out of range 1..{dim!r}")
-        one = Fraction(1) if mode == EXACT else 1.0
-        zero = zero_scalar(mode)
-        return cls._of(tuple(one if j == i else zero for j in range(1, dim + 1)), mode)
+        xs = [0] * dim
+        xs[i - 1] = 1
+        if mode == EXACT:
+            return cls._of_ints(tuple(xs), 1)
+        return cls._of(tuple(map(float, xs)), DOUBLE)
 
     @property
     def dim(self) -> int:

@@ -104,10 +104,8 @@ def product_for_table(table: symbolic.MulTable) -> ProductUnderTest:
         # u = e3 + e10 = u0 x u1 + u1 x u3 and v = e6 - e15 = u1 x u2 - ((u0 x u1) x u2) x u3,
         # zero-padded: their product vanishes while u and v are orthogonal with
         # squared norm 2, so the identity reads 0 + 0 on one side and 4 on the other.
-        u, v = [Fraction(0)] * table.n, [Fraction(0)] * table.n
-        u[3 - 1] = u[10 - 1] = Fraction(1)
-        v[6 - 1], v[15 - 1] = Fraction(1), Fraction(-1)
-        known = (Vector(u), Vector(v))
+        e = partial(Vector.unit, table.n)
+        known = (e(3) + e(10), e(6) - e(15))
     # Cayley–Dickson adjointness ⟨xy, z⟩ = ⟨y, x̄z⟩ gives perpendicular and
     # 1.1, and antisymmetry gives 1.2 (Schafer 1966, ch. III).
     kept = (AXIOM_PERPENDICULAR, "identity-1.1", "identity-1.2")

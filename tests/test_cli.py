@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -567,6 +568,24 @@ class TestCounterexampleCommand:
         assert "RHS (u x v).(u x v) + (u.v)^2 = 1" in out
         assert out.strip().splitlines()[-1] == "verdict: Pythagorean holds (unexpected)"
 
+    def test_the_pair_is_multiplied_once(self, capsys, monkeypatch):
+        real = verify.product_for_table
+        calls = []
+
+        def counted(table):
+            product = real(table)
+
+            def evaluate(u, v):
+                calls.append((u, v))
+                return product.evaluate(u, v)
+
+            return dataclasses.replace(product, evaluate=evaluate)
+
+        monkeypatch.setattr(verify, "product_for_table", counted)
+        status, _ = run(capsys, "counterexample", "--k", "3")
+        assert status == 0
+        assert len(calls) == 1
+
     def test_level_too_small(self, capsys):
         assert run_usage_error(capsys, "counterexample", "--k", "2") == 2
 
@@ -764,6 +783,23 @@ class TestOutputFile:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
         assert (tmp_path / "file.txt").read_text(encoding="utf-8") == "keep\n"
+
+    def test_reader_closing_stdout_early_ends_the_command_quietly(self):
+        # A table far larger than a pipe's buffer, so writes go on after the
+        # reader has gone.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crossn.cli", "table", "--k", "8", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(20) == b"0,3,-2,5,-4,-7,6,9,-"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     def test_device_is_written_in_place(self, capsys):

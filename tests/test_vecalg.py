@@ -49,7 +49,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossn.symbolic import build_table
-from crossn.verify import random_vector
+from crossn.verify import product_for_table, random_vector
 from crossn.vecalg import (
     DOUBLE,
     EXACT,
@@ -65,7 +65,6 @@ from crossn.vecalg import (
     padded_cross,
     parse_vector,
     table_product,
-    zero_scalar,
 )
 
 
@@ -753,7 +752,6 @@ class TestIntegerKernels:
             assert _bits(out.coords) == _bits([0.0, 0.0, 0.0])
 
     def test_exact_zeros_are_the_shared_zero(self):
-        assert zero_scalar(EXACT) is _ZERO
         assert Vector.unit(4, 2).coords[0] is _ZERO
         u, v = Vector.exact([1, 2, 3, 4, 5]), Vector.exact([0, 1, 0, 0, 7])
         assert all(c is _ZERO for c in padded_cross(u, v).coords[3:])
@@ -806,9 +804,20 @@ class TestIntegerKernels:
             assert kept == twin and hash(kept) == hash(twin) and repr(kept) == repr(twin)
 
 
+def _witness_vector(u, v, c):
+    """u or v of the level-k witness pair, k read from u's dimension."""
+    known = product_for_table(build_table(u.dim.bit_length() - 1)).known
+    return known[c > 0]
+
+
 # (operation on u, v and a factor c, dimensions to draw): each builds its
-# exact result from cleared integers.
+# result from integers.  A unit vector's index is read from c.
 INTEGER_OPS = {
+    "unit": (lambda u, v, c: Vector.unit(u.dim, 1 + c.numerator % u.dim), (1, 3, 7, 16)),
+    "unit-double": (
+        lambda u, v, c: Vector.unit(u.dim, 1 + c.numerator % u.dim, DOUBLE), (1, 3, 7, 16)
+    ),
+    "witness": (_witness_vector, (15, 31, 63, 127)),
     "add": (lambda u, v, c: u + v, (1, 3, 7, 16)),
     "sub": (lambda u, v, c: u - v, (1, 3, 7, 16)),
     "neg": (lambda u, v, c: -u, (1, 3, 7, 16)),
@@ -830,15 +839,19 @@ class TestIntegerBuiltVectors:
             y = x  # u - u, and cross3(u, u), cancel
         c = data.draw(st.one_of(st.just(0), wide_rationals()), label="c")
         out = op(Vector.exact(x), Vector.exact(y), c)
-        # No Fraction is made until a coordinate is read.
-        assert out._coords is None
-        xs, d = _cleared(out)
-        assert d >= 1 and math.gcd(d, *xs) == 1
-        coords = out.coords
-        assert out.coords is coords
-        assert all(type(t) is Fraction for t in coords)
-        assert all(t is _ZERO for t in coords if not t)
-        twin = Vector.exact(coords)
+        if out.mode == DOUBLE:
+            assert all(type(t) is float for t in out.coords)
+            assert all(math.copysign(1.0, t) == 1.0 for t in out.coords if not t)
+        else:
+            # No Fraction is made until a coordinate is read.
+            assert out._coords is None
+            xs, d = _cleared(out)
+            assert d >= 1 and math.gcd(d, *xs) == 1
+            coords = out.coords
+            assert out.coords is coords
+            assert all(type(t) is Fraction for t in coords)
+            assert all(t is _ZERO for t in coords if not t)
+        twin = Vector(out.coords, out.mode)
         assert out == twin and twin == out and hash(out) == hash(twin)
 
     def test_copies_of_integer_built_results_round_trip(self):
